@@ -59,12 +59,15 @@ def ortho_zero_count_np(basis: np.ndarray, h: int) -> int:
 
 
 def rem_many_np(vals: np.ndarray, f: int) -> np.ndarray:
-    out = vals.astype(np.uint64).copy()
+    out = np.array(vals, dtype=np.uint64)
     deg_f = f.bit_length() - 1
-    top = int(out.max()).bit_length() - 1 if out.size and out.max() else 0
+    top = int(out.max()).bit_length() - 1 if out.size else -1
+    hit = np.empty_like(out)  # one scratch buffer, reused at every bit step
     for bit in range(top, deg_f - 1, -1):
-        hit = (out >> np.uint64(bit)) & np.uint64(1)
-        out ^= hit * np.uint64(f << (bit - deg_f))
+        np.right_shift(out, np.uint64(bit), out=hit)
+        np.bitwise_and(hit, np.uint64(1), out=hit)
+        np.multiply(hit, np.uint64(f << (bit - deg_f)), out=hit)
+        np.bitwise_xor(out, hit, out=out)
     return out
 
 

@@ -2,14 +2,16 @@
 
 A code is defined by a length n and a generator polynomial g dividing
 X^n + 1; codewords are the polynomial multiples u*g for messages u of
-degree < k = n - deg(g).  Codeword enumeration, the weight distribution
-and everything derived from it are exact brute force, guarded at
-k <= 24 (about 16M codewords) so oversized requests fail loudly instead
-of silently sampling.
+degree < k = n - deg(g).  Codeword enumeration and the weight
+distribution are exact brute force, guarded at k <= 24 (about 16M
+codewords) so oversized requests fail loudly instead of silently
+sampling.  The zero-syndrome probability enumerates whichever of the
+code and its dual is smaller, so its guard is min(k, n - k) <= 24.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -127,14 +129,27 @@ class CyclicCode:
     def p_zero_syndrome(self, p: float) -> float:
         """Probability that a BSC(p) error pattern is itself a codeword.
 
-        Sum over the weight distribution of A_i p^i (1-p)^(n-i); p = 1/2
-        is allowed for the analytic limit 2^(k-n).
+        With k <= n - k this is the weight sum A_i p^i (1-p)^(n-i) over
+        the code; otherwise the MacWilliams identity gives it from the
+        weights B_j of the (n - k)-dimensional dual code as
+        2^-(n-k) * sum B_j (1-2p)^j (MacWilliams & Sloane 1977), so at
+        most 2^min(k, n-k) words are enumerated.  p = 1/2 is allowed for
+        the analytic limit 2^(k-n).
         """
         if not 0.0 <= p <= 0.5:
             raise ValueError("crossover probability must be in [0, 1/2]")
-        a = self.weight_distribution().astype(np.float64)
-        i = np.arange(self.n + 1, dtype=np.float64)
-        return float(np.sum(a * p**i * (1.0 - p) ** (self.n - i)))
+        n, k = self.n, self.k
+        if min(k, n - k) > ENUM_GUARD_K or n > WORD_GUARD_N:
+            raise GuardError(
+                f"zero-syndrome probability needs min(k, n-k) <= {ENUM_GUARD_K} and "
+                f"n <= {WORD_GUARD_N}, got n={n}, k={k}, n-k={n - k}"
+            )
+        i = np.arange(n + 1, dtype=np.float64)
+        if k <= n - k:
+            a = weight_counts(self.g, k, n).astype(np.float64)
+            return float(np.sum(a * p**i * (1.0 - p) ** (n - i)))
+        b = weight_counts(self.g_dual, n - k, n).astype(np.float64)
+        return math.ldexp(float(np.sum(b * (1.0 - 2.0 * p) ** i)), k - n)
 
 
 def make_code(n: int, g: int) -> CyclicCode:

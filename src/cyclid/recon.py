@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gf2
 from ._kernels import ortho_zero_count, rem_many
-from .codes import ENUM_GUARD_K, CyclicCode, parity_check_rows
+from .codes import WORD_GUARD_N, CyclicCode, GuardError, parity_check_rows
 from .dists import (
     BlockType,
     error_residue_distribution,
@@ -57,18 +57,10 @@ def lambda_coeff(n: int, deg_f: int, p: float) -> float:
     return (1.0 - t) / (1.0 + t)
 
 
-def _p_zero_correct(code: CyclicCode, p: float) -> float:
-    # weight-distribution sum within the enumeration guard; beyond it the
-    # identical value comes from the error-residue DP at residue zero
-    if code.k <= ENUM_GUARD_K:
-        return code.p_zero_syndrome(p)
-    return error_residue_distribution(code.n, code.g, p).zero_mass
-
-
 def h1_upper_bound(code: CyclicCode, p: float) -> float:
     """Upper bound on the zero-syndrome probability under incorrect parameters."""
     lam = lambda_coeff(code.n, code.n - code.k, p)
-    return _p_zero_correct(code, p) * (lam + 1.0) / 2.0
+    return code.p_zero_syndrome(p) * (lam + 1.0) / 2.0
 
 
 def kl_lower_bound(p0: float, lam: float) -> float:
@@ -101,7 +93,7 @@ def hypothesis_test(stat: float, M: int, code: CyclicCode, p: float) -> TestOutc
     """
     if M < 1:
         raise ValueError("need at least one block")
-    p0 = _p_zero_correct(code, p)
+    p0 = code.p_zero_syndrome(p)
     lam = lambda_coeff(code.n, code.n - code.k, p)
     bound = p0 * (lam + 1.0) / 2.0
     tau = (p0 + bound) / 2.0
@@ -230,6 +222,8 @@ def reconstruct(
         raise ValueError("need n_min >= 2")
     if n_max < n_min:
         raise ValueError("need n_max >= n_min")
+    if n_max > WORD_GUARD_N:
+        raise GuardError(f"bit-packed blocks need n <= {WORD_GUARD_N}, got n_max={n_max}")
     if method not in ("zero-syndrome", "factor-entropy", "root-entropy"):
         raise ValueError(f"unknown method {method!r}")
     bits = np.asarray(bits, dtype=np.uint8)

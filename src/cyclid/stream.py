@@ -86,11 +86,13 @@ def segment(bits: np.ndarray, n: int, s: int) -> np.ndarray:
 
 
 def blocks_to_polys(blocks: np.ndarray) -> np.ndarray:
-    """Bit-pack each block row into a uint64 polynomial word."""
+    """Bit-pack each block row into a uint64 polynomial word, bit i from column i."""
     if blocks.shape[1] > 63:
         raise ValueError("bit-packed blocks need n <= 63")
-    weights = (np.uint64(1) << np.arange(blocks.shape[1], dtype=np.uint64))
-    return (blocks.astype(np.uint64) * weights).sum(axis=1, dtype=np.uint64)
+    out = np.zeros(blocks.shape[0], dtype=np.uint64)
+    for i in range(blocks.shape[1]):
+        out |= blocks[:, i].astype(np.uint64) << np.uint64(i)
+    return out
 
 
 # --- stream files ------------------------------------------------------------

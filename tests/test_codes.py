@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cyclid import gf2
+from cyclid._kernels import bsc_residue_dp, weight_counts
 from cyclid.codes import (
     CyclicCode,
     GuardError,
@@ -90,6 +91,48 @@ def test_p_zero_syndrome():
     assert abs(p_zero_syndrome_code(code, 0.01) - 0.93207) < 1e-5
     with pytest.raises(ValueError):
         code.p_zero_syndrome(0.7)
+
+
+def test_p_zero_syndrome_dual_route_matches_weight_sum():
+    # k > n - k takes the MacWilliams route through the dual code's weights
+    for n in range(1, 21):
+        for g in gf2.divisors_xn1(n):
+            code = make_code(n, g)
+            a = weight_counts(g, code.k, n).astype(np.float64)
+            i = np.arange(n + 1)
+            for p in (0.0, 0.01, 0.1, 0.5):
+                direct = float(np.sum(a * p**i * (1.0 - p) ** (n - i)))
+                assert abs(code.p_zero_syndrome(p) - direct) <= 1e-12, (n, g, p)
+
+
+def test_p_zero_syndrome_even_weight_code():
+    # k = 30 is past the enumeration guard; the dual is the repetition code
+    code = make_code(31, P("x+1"))
+    for p in (0.0, 0.01, 0.1, 0.3, 0.5):
+        assert code.p_zero_syndrome(p) == (1.0 + (1.0 - 2.0 * p) ** 31) / 2.0
+
+
+def test_p_zero_syndrome_large_code_via_dual():
+    # an irreducible degree-21 factor of X^49+1: k = 28, dual dimension 21
+    f = P("x^21+x^7+1")
+    code = make_code(49, f)
+    assert code.k == 28
+    assert code.p_zero_syndrome(0.0) == 1.0
+    assert code.p_zero_syndrome(0.5) == 2.0**-21
+    # independent route: channel DP over residues mod f, mass at zero
+    masks = np.array([gf2.rem(1 << i, f) for i in range(49)], dtype=np.int64)
+    assert abs(code.p_zero_syndrome(0.01) - bsc_residue_dp(masks, 0.01, 21)[0]) < 1e-12
+
+
+def test_p_zero_syndrome_guard():
+    # degrees 1+2+3+3+6+6+6: k = 36 and n - k = 27 both exceed the guard
+    g = 1
+    for f, _ in gf2.factor_xn1(63)[:7]:
+        g = gf2.mul(g, f)
+    code = make_code(63, g)
+    assert (code.k, code.n - code.k) == (36, 27)
+    with pytest.raises(GuardError, match="n-k=27"):
+        code.p_zero_syndrome(0.01)
 
 
 def test_syndrome_basis_paper_values():

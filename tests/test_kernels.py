@@ -4,7 +4,7 @@ import pytest
 from cyclid import _kernels as K
 from cyclid import gf2
 
-pytestmark = pytest.mark.skipif(
+needs_numba = pytest.mark.skipif(
     not K.HAVE_NUMBA, reason="numba backend disabled; nothing to compare"
 )
 
@@ -15,6 +15,7 @@ def random_basis(dim, deg_f):
     return rng.integers(0, 1 << deg_f, size=dim, dtype=np.uint64)
 
 
+@needs_numba
 def test_residue_counts_backends_agree():
     for dim, deg_f in [(0, 3), (5, 3), (10, 8), (14, 6)]:
         basis = random_basis(dim, deg_f)
@@ -24,6 +25,7 @@ def test_residue_counts_backends_agree():
         assert a.sum() == 1 << dim
 
 
+@needs_numba
 def test_weight_counts_backends_agree():
     for n, g in [(7, 0b1011), (15, 0b10011), (10, 0b111)]:
         k = n - g.bit_length() + 1
@@ -33,6 +35,7 @@ def test_weight_counts_backends_agree():
         assert a[0] == 1 and a.sum() == 1 << k
 
 
+@needs_numba
 def test_ortho_zero_count_backends_agree():
     for _ in range(20):
         basis = rng.integers(0, 1 << 12, size=8, dtype=np.uint64)
@@ -40,6 +43,7 @@ def test_ortho_zero_count_backends_agree():
         assert K.ortho_zero_count_nb(basis, h) == K.ortho_zero_count_np(basis, h)
 
 
+@needs_numba
 def test_rem_many_matches_scalar():
     vals = rng.integers(0, 1 << 40, size=200, dtype=np.uint64)
     for f in (0b1011, 0b11, 0b1000011):
@@ -50,6 +54,18 @@ def test_rem_many_matches_scalar():
             assert r == gf2.rem(v, f)
 
 
+def test_rem_many_matches_gf2_rem():
+    vals = rng.integers(0, 1 << 63, size=300, dtype=np.uint64)
+    vals[:3] = (0, 1, (1 << 63) - 1)
+    for f in (0b1, 0b11, 0b1011, 0b1000011, (1 << 40) | 0b1001):
+        got = K.rem_many(vals, f)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [gf2.rem(v, f) for v in vals.tolist()]
+    assert K.rem_many(np.empty(0, dtype=np.uint64), 0b1011).size == 0
+    assert K.rem_many(np.zeros(4, dtype=np.uint64), 0b1011).tolist() == [0] * 4
+
+
+@needs_numba
 def test_bsc_dp_backends_agree():
     f = 0b1011
     masks = np.empty(9, dtype=np.int64)
@@ -64,6 +80,7 @@ def test_bsc_dp_backends_agree():
         assert abs(a.sum() - 1.0) < 1e-12
 
 
+@needs_numba
 def test_xor_convolve_against_naive():
     for deg in (2, 4, 6):
         size = 1 << deg

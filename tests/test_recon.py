@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclid import gf2
-from cyclid.codes import CyclicCode, make_code
+from cyclid.codes import CyclicCode, GuardError, make_code
 from cyclid.dists import Boundary, Interior
 from cyclid.recon import (
     empirical_stats,
@@ -205,6 +205,16 @@ def test_reconstruct_validation():
         reconstruct(bits, 5, 4, 0.0)
     with pytest.raises(ValueError):
         reconstruct(bits, 3, 10, 0.0, method="magic")
+
+
+def test_reconstruct_word_limit():
+    rng = np.random.Generator(np.random.Philox(3))
+    coin = rng.integers(0, 2, size=63 * 60, dtype=np.uint8)
+    # n = 63 is the largest length a uint64 block word holds
+    rep = reconstruct(coin, 63, 63, 0.02)
+    assert len(rep.outcomes) == 63 * len(gf2.factor_xn1(63))
+    with pytest.raises(GuardError, match="64"):
+        reconstruct(coin, 3, 64, 0.02)
 
 
 def test_comparison_methods_rank_true_parameters():

@@ -55,6 +55,21 @@ def test_noise_free_blocks_are_codewords():
             assert gf2.rem(v, code.g) == 0
 
 
+def test_blocks_to_polys_matches_poly_from_bits():
+    rng = np.random.default_rng(7)
+    for n in (1, 7, 8, 9, 63):
+        blocks = rng.integers(0, 2, size=(50, n), dtype=np.uint8)
+        blocks[0] = 1
+        blocks[1] = 0
+        polys = blocks_to_polys(blocks)
+        assert polys.dtype == np.uint64
+        assert polys.tolist() == [gf2.poly_from_bits(row) for row in blocks]
+    empty = blocks_to_polys(np.empty((0, 7), dtype=np.uint8))
+    assert empty.dtype == np.uint64 and empty.size == 0
+    with pytest.raises(ValueError):
+        blocks_to_polys(np.zeros((2, 64), dtype=np.uint8))
+
+
 def test_messages_independent_of_noise():
     # same seed, different p: noise-free words underneath are identical
     code = hamming7()
