@@ -42,8 +42,13 @@ def subspace_elements(basis: np.ndarray) -> np.ndarray:
 
 
 def residue_counts_dense_np(res_basis: np.ndarray, deg_f: int) -> np.ndarray:
-    elems = subspace_elements(res_basis)
-    return np.bincount(elems.astype(np.int64), minlength=1 << deg_f).astype(np.int64)
+    # span doubled in place in one index buffer: no concatenation, no casts
+    span = np.zeros(1 << len(res_basis), dtype=np.intp)
+    h = 1
+    for r in res_basis.tolist():
+        np.bitwise_xor(span[:h], r, out=span[h : 2 * h])
+        h *= 2
+    return np.bincount(span, minlength=1 << deg_f)
 
 
 def weight_counts_np(g: int, k: int, n: int) -> np.ndarray:

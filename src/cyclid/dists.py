@@ -179,24 +179,30 @@ def _truncated_rows(code: CyclicCode, n: int, suffix: bool = False) -> list[int]
     return rows
 
 
+def boundary_components(spec: BoundarySpan) -> list[list[int]]:
+    """Bases of the independent summands of a boundary span, in position."""
+    code = spec.code
+    out = []
+    if spec.d1:
+        out.append(span_basis(_truncated_rows(code, spec.d1, suffix=True)))
+    for t in range(spec.q):
+        shift = spec.d1 + t * code.n
+        out.append([code.g << (i + shift) for i in range(code.k)])
+    if spec.d2:
+        shift = spec.d1 + spec.q * code.n
+        out.append([b << shift for b in span_basis(_truncated_rows(code, spec.d2))])
+    return out
+
+
 def build_subspace(spec: SubspaceSpec) -> list[int]:
     """Basis (bit-packed, independent) of the noise-free block subspace."""
     n = spec.n
     if n > SPAN_GUARD_N:
         raise GuardError(f"subspace models need n <= {SPAN_GUARD_N}, got {n}")
-    code = spec.code
     if isinstance(spec, Truncation):
-        basis = span_basis(_truncated_rows(code, spec.n))
+        basis = span_basis(_truncated_rows(spec.code, spec.n))
     else:
-        basis = list(span_basis(_truncated_rows(code, spec.d1, suffix=True)))
-        for t in range(spec.q):
-            shift = spec.d1 + t * code.n
-            basis.extend(code.g << (i + shift) for i in range(code.k))
-        if spec.d2:
-            shift = spec.d1 + spec.q * code.n
-            basis.extend(
-                b << shift for b in span_basis(_truncated_rows(code, spec.d2))
-            )
+        basis = [b for comp in boundary_components(spec) for b in comp]
     if len(basis) > DIM_GUARD:
         raise GuardError(
             f"subspace dimension {len(basis)} exceeds enumeration guard {DIM_GUARD}"

@@ -31,6 +31,7 @@ from .dists import (
     SyndromeDistribution,
     Truncation,
     _error_dp_cached,
+    boundary_components,
     build_subspace,
     distinct_block_types,
     distribution_from_basis,
@@ -100,22 +101,22 @@ def _distinct_specs(code: CyclicCode, n: int) -> list:
 # --- the distribution sweep (noise-free and noisy) ---------------------------
 
 
-def _component_bases(spec: BoundarySpan) -> list[list[int]]:
-    """Bases of the independent summands of a boundary span, in position."""
-    code = spec.code
-    rows = lambda d, suffix: [  # noqa: E731
-        (code.g << i) >> (code.n - d) if suffix else (code.g << i) & ((1 << d) - 1)
-        for i in range(code.k)
-    ]
+def _spec_bases(code: CyclicCode, n: int, with_components: bool) -> list:
+    """(spec, basis, component bases) for each spec of (code, n) within the guards.
+
+    Truncations come first, so a row sees a code's truncation class
+    before its spans.  Component bases are None unless asked for.
+    """
     out = []
-    if spec.d1:
-        out.append(span_basis(rows(spec.d1, True)))
-    for t in range(spec.q):
-        shift = spec.d1 + t * code.n
-        out.append([code.g << (i + shift) for i in range(code.k)])
-    if spec.d2:
-        shift = spec.d1 + spec.q * code.n
-        out.append([b << shift for b in span_basis(rows(spec.d2, False))])
+    for spec in sorted(_distinct_specs(code, n), key=lambda sp: isinstance(sp, BoundarySpan)):
+        try:
+            basis = build_subspace(spec)
+        except GuardError:
+            continue
+        comps = None
+        if with_components and isinstance(spec, BoundarySpan):
+            comps = boundary_components(spec)
+        out.append((spec, basis, comps))
     return out
 
 
@@ -139,22 +140,21 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
     for n0 in n0_list:
         if n > 2 * n0 + 2:
             continue
-        codes = nondegenerate_codes(n0)
+        # specs and their bases depend on (code, n) only, not on f
+        code_specs = [
+            (code, _spec_bases(code, n, with_components)) for code in nondegenerate_codes(n0)
+        ]
         for f in divisors:
             deg_f = f.bit_length() - 1
             err_dense = {}
             if with_noise and deg_f <= 20:
                 for p in p_list:
                     err_dense[p] = _error_dp_cached(n, f, p)[0]
-            for code in codes:
+            for code, spec_bases in code_specs:
                 trunc_kind = None
                 comp_memo: dict = {}
-                specs = sorted(
-                    _distinct_specs(code, n), key=lambda sp: isinstance(sp, BoundarySpan)
-                )
-                for spec in specs:
+                for spec, basis, comps in spec_bases:
                     try:
-                        basis = build_subspace(spec)
                         dist = distribution_from_basis(basis, f)
                     except GuardError:
                         continue
@@ -189,8 +189,8 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
                         res["theorem2"].checked += 1
                         if kind is not DistributionClass.UNIFORM:
                             res["theorem2"].failures.append((n0, code.g, n, spec, f))
-                    if with_components and isinstance(spec, BoundarySpan):
-                        _check_theorem3(res["theorem3"], code, spec, f, kind, comp_memo)
+                    if comps is not None:
+                        _check_theorem3(res["theorem3"], code, spec, f, kind, comps, comp_memo)
                     if with_noise and deg_f <= 20:
                         _check_noisy(
                             res, spec, dist, f, p_list, err_dense, correct, uniform_verified
@@ -198,7 +198,7 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
     return res
 
 
-def _check_theorem3(result, code, spec, f, kind, memo):
+def _check_theorem3(result, code, spec, f, kind, comps, memo):
     """Component classes (each separately enumerated) against the composite.
 
     The provable direction is that all-uniform components (after
@@ -212,7 +212,7 @@ def _check_theorem3(result, code, spec, f, kind, memo):
     deg_f = f.bit_length() - 1
     classes = []
     gens: list[int] = []
-    for comp in _component_bases(spec):
+    for comp in comps:
         key = tuple(comp)
         if key not in memo:
             cd = distribution_from_basis(comp, f)
@@ -248,9 +248,18 @@ def _check_theorem3(result, code, spec, f, kind, memo):
 def _check_noisy(res, spec, dist, f, p_list, err_dense, correct, uniform_verified):
     deg_f = f.bit_length() - 1
     n = spec.n
+    sup = dist.residues.astype(np.intp)
+    # eq. 23 gathers the noisy mass at every support point in one go:
+    # shifts[i, j] = sup[i] ^ sup[j], at most 256 x 256 indices
+    shifts = None
+    if (
+        dist.kind is DistributionClass.RESTRICTED_UNIFORM
+        and dist.support_size() <= _EQ23_SUPPORT_CAP
+    ):
+        shifts = np.bitwise_xor.outer(sup, sup)
     for p in p_list:
         dense = err_dense[p]
-        zero = float(np.dot(dist.probs, dense[dist.residues.astype(np.int64)]))
+        zero = float(np.dot(dist.probs, dense[sup]))
         if not correct:
             # subgroup-coset bound on the zero-syndrome probability
             lam = lambda_coeff(n, deg_f, p)
@@ -272,18 +281,11 @@ def _check_noisy(res, spec, dist, f, p_list, err_dense, correct, uniform_verifie
             res["noisy_uniform"].checked += 1
             if noisy.kind is not DistributionClass.UNIFORM:
                 res["noisy_uniform"].failures.append((n, f, p, str(noisy.kind)))
-        if (
-            dist.kind is DistributionClass.RESTRICTED_UNIFORM
-            and dist.support_size() <= _EQ23_SUPPORT_CAP
-        ):
+        if shifts is not None:
             # noisy masses on the noise-free support stay pairwise equal
-            sup = dist.residues.astype(np.int64)
-            masses = [
-                float(np.dot(dist.probs, dense[np.bitwise_xor(sup, b)]))
-                for b in sup.tolist()
-            ]
+            masses = dist.probs @ dense[shifts]
             res["eq23_support"].checked += 1
-            if max(masses) - min(masses) > 1e-12:
+            if np.ptp(masses) > 1e-12:
                 res["eq23_support"].failures.append((spec, f, p))
 
 

@@ -25,6 +25,26 @@ def test_residue_counts_backends_agree():
         assert a.sum() == 1 << dim
 
 
+def test_residue_counts_dense_np_against_naive():
+    for dim in (0, 1, 5, 12):
+        for deg_f in (1, 8, 16):
+            basis = random_basis(dim, deg_f)
+            if dim >= 3:
+                basis[1] = 0  # a zero vector
+                basis[2] = basis[0]  # a repeated vector
+            naive = np.zeros(1 << deg_f, dtype=np.int64)
+            for coeffs in range(1 << dim):
+                r = 0
+                for j in range(dim):
+                    if coeffs >> j & 1:
+                        r ^= int(basis[j])
+                naive[r] += 1
+            got = K.residue_counts_dense_np(basis, deg_f)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, naive)
+            assert got.sum() == 1 << dim
+
+
 @needs_numba
 def test_weight_counts_backends_agree():
     for n, g in [(7, 0b1011), (15, 0b10011), (10, 0b111)]:
