@@ -14,8 +14,6 @@ from .codes import (
     CyclicCode,
     GuardError,
     InvalidGeneratorError,
-    make_code,
-    p_zero_syndrome_code,
     syndrome_basis,
 )
 from .dists import (

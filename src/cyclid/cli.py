@@ -36,7 +36,7 @@ from .stream import (
     save_stream,
     save_stream_metadata,
 )
-from . import sweeps
+from . import dists, sweeps
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,10 +133,17 @@ def run_factor(args) -> int:
 
 
 def run_dist(args) -> int:
-    from .dists import set_guards
+    # the guard flags hold for this command only
+    saved = (dists.DIM_GUARD, dists.SPAN_GUARD_N, dists.DEGF_DP_GUARD)
+    try:
+        return _dist(args)
+    finally:
+        dists.set_guards(*saved)
 
+
+def _dist(args) -> int:
     if args.guard_dim or args.guard_n or args.guard_degf:
-        effective = set_guards(dim=args.guard_dim, n=args.guard_n, deg_f=args.guard_degf)
+        effective = dists.set_guards(dim=args.guard_dim, n=args.guard_n, deg_f=args.guard_degf)
         for flag, key in (("guard_dim", "dim"), ("guard_n", "n"), ("guard_degf", "deg_f")):
             asked = getattr(args, flag)
             if asked and asked > effective[key]:

@@ -152,15 +152,6 @@ class CyclicCode:
         return math.ldexp(float(np.sum(b * (1.0 - 2.0 * p) ** i)), k - n)
 
 
-def make_code(n: int, g: int) -> CyclicCode:
-    """Validated construction of C(n, g)."""
-    return CyclicCode(n, g)
-
-
-def p_zero_syndrome_code(code: CyclicCode, p: float) -> float:
-    return code.p_zero_syndrome(p)
-
-
 def parity_check_rows(n: int, f: int) -> list[int]:
     """Rows X^l * f_dual of the standard parity-check matrix of C(n, f).
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from ._kernels import bsc_residue_dp, residue_counts_dense, xor_convolve
+from ._kernels import bsc_residue_dp, residue_counts_dense, subspace_elements, xor_convolve
 from .codes import CyclicCode, GuardError, span_basis
 
 DIM_GUARD = 24  # subspace enumeration cap: 2^24 elements
@@ -160,15 +160,17 @@ class BoundarySpan:
 SubspaceSpec = Truncation | BoundarySpan
 
 
-def spec_for_block(code: CyclicCode, block: BlockType) -> SubspaceSpec:
-    """Subspace model of a block type.
+def spec_for_block(code: CyclicCode, block: BlockType | SubspaceSpec) -> SubspaceSpec:
+    """Subspace model of a block type; a subspace spec is returned unchanged.
 
     An interior block at any offset has the same distribution as the
     offset-0 truncation: cyclic shifting permutes the codewords.
     """
     if isinstance(block, Interior):
         return Truncation(code, block.n)
-    return BoundarySpan(code, block.d1, block.q, block.d2)
+    if isinstance(block, Boundary):
+        return BoundarySpan(code, block.d1, block.q, block.d2)
+    return block
 
 
 def _truncated_rows(code: CyclicCode, n: int, suffix: bool = False) -> list[int]:
@@ -323,10 +325,8 @@ def _is_xor_subgroup(residues: np.ndarray) -> bool:
     size = residues.size
     if size & (size - 1) or residues[0] != 0:
         return False
-    arr = np.zeros(1, dtype=np.uint64)
-    for j in range(size.bit_length() - 1):
-        arr = np.concatenate([arr, arr ^ residues[1 << j]])
-    return bool(np.array_equal(arr, residues))
+    basis = residues[[1 << j for j in range(size.bit_length() - 1)]]
+    return bool(np.array_equal(subspace_elements(basis), residues))
 
 
 def classify(dist: SyndromeDistribution) -> DistributionClass:
@@ -454,8 +454,7 @@ def predict_class(
     full space, so the class of the sum is the class of the combined
     image, not the worst component).
     """
-    if isinstance(spec, (Interior, Boundary)):
-        spec = spec_for_block(code, spec)
+    spec = spec_for_block(code, spec)
     deg_f = _validate_modulus(spec.n, f)
 
     if isinstance(spec, Truncation):

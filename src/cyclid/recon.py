@@ -30,6 +30,7 @@ from ._kernels import ortho_zero_count, rem_many
 from .codes import WORD_GUARD_N, CyclicCode, GuardError, parity_check_rows
 from .dists import (
     BlockType,
+    SubspaceSpec,
     error_residue_distribution,
     exact_distribution,
     noisy_zero_mass,
@@ -112,7 +113,7 @@ def hypothesis_test(stat: float, M: int, code: CyclicCode, p: float) -> TestOutc
 
 
 def mean_zero_coeff_prob_exact(
-    code: CyclicCode, block_type: BlockType, f: int, p: float
+    code: CyclicCode, block_type: BlockType | SubspaceSpec, f: int, p: float
 ) -> float:
     """Mean over parity checks of P[check bit = 0], exact.
 

@@ -9,8 +9,11 @@ run them and report per-check counts.
 The heavy noise-free/noisy distribution sweep is organized in rows of
 the assumed block length n so that the error-residue dynamic programs
 are computed once per (n, f, p) and shared across codes and
-subspaces.  Rows are independent and run in a small thread pool; the
-hot kernels release the GIL.
+subspaces.  Rows are independent and run in a thread pool of ``jobs``
+workers (by default the CPU count, at most 4).  The pool stays only
+because callers pass ``jobs``: Python code between short numpy calls
+holds the GIL for most of a row, so the pool measures slower than a
+serial run.
 """
 
 from __future__ import annotations
@@ -340,9 +343,7 @@ def sweep_mean_zero_coeff(
             for code in codes:
                 for spec in _distinct_specs(code, n):
                     for p in p_list:
-                        val = mean_zero_coeff_prob_exact(
-                            code, _as_block_type(spec), f, p
-                        )
+                        val = mean_zero_coeff_prob_exact(code, spec, f, p)
                         sub.checked += 1
                         if abs(val - 0.5) > 1e-12:
                             sub.failures.append((code.g, n, spec, f, p, val))
@@ -359,14 +360,6 @@ def sweep_mean_zero_coeff(
         result.checked += sub.checked
         result.failures.extend(sub.failures)
     return result
-
-
-def _as_block_type(spec):
-    from .dists import Boundary, Interior
-
-    if isinstance(spec, Truncation):
-        return Interior(0, spec.n)
-    return Boundary(spec.d1, spec.q, spec.d2)
 
 
 # --- appendix suites ----------------------------------------------------------

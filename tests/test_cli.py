@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cyclid import dists
 from cyclid.cli import main
 
 
@@ -180,7 +181,5 @@ def test_guard_override(capsys):
     assert code == 0
     assert "clamped to hard cap 40" in out
     assert "class=Uniform" in out
-    # restore defaults for other tests
-    from cyclid.dists import set_guards
-
-    set_guards(dim=24, n=24, deg_f=20)
+    # the override ends with the command
+    assert (dists.DIM_GUARD, dists.SPAN_GUARD_N, dists.DEGF_DP_GUARD) == (24, 24, 20)

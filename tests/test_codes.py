@@ -8,8 +8,6 @@ from cyclid.codes import (
     GuardError,
     InvalidGeneratorError,
     in_span,
-    make_code,
-    p_zero_syndrome_code,
     span_basis,
     syndrome_basis,
 )
@@ -21,74 +19,74 @@ def P(text):
 
 def example1_code():
     g0 = gf2.mul(gf2.mul(P("x^4+x^3+1"), P("x^4+x^3+x^2+x+1")), P("x+1"))
-    return make_code(15, g0)
+    return CyclicCode(15, g0)
 
 
-def test_make_code():
-    code = make_code(7, P("x^3+x+1"))
+def test_cyclic_code():
+    code = CyclicCode(7, P("x^3+x+1"))
     assert code.k == 4
     assert example1_code().k == 6
-    assert make_code(7, 1).k == 7
-    assert make_code(7, 1).is_trivial
+    assert CyclicCode(7, 1).k == 7
+    assert CyclicCode(7, 1).is_trivial
 
 
-def test_make_code_rejects_nondivisor():
+def test_cyclic_code_rejects_nondivisor():
     with pytest.raises(InvalidGeneratorError):
-        make_code(7, P("x^2+x+1"))
+        CyclicCode(7, P("x^2+x+1"))
     with pytest.raises(InvalidGeneratorError):
-        make_code(7, 0)
+        CyclicCode(7, 0)
 
 
 def test_dual_generator():
     assert example1_code().dual_generator() == gf2.mul(P("x^2+x+1"), P("x^4+x^3+1"))
-    code = make_code(7, P("x^3+x^2+1"))
+    code = CyclicCode(7, P("x^3+x^2+1"))
     assert code.dual_generator() == gf2.mul(P("x+1"), P("x^3+x^2+1"))
     # applying the construction to the dual recovers the generator
     for g in gf2.divisors_xn1(15):
-        code = make_code(15, g)
-        assert make_code(15, code.g_dual).g_dual == g
+        code = CyclicCode(15, g)
+        assert CyclicCode(15, code.g_dual).g_dual == g
 
 
 def test_is_degenerate():
-    assert make_code(4, P("x^2+1")).is_degenerate()
-    assert not make_code(7, P("x^3+x+1")).is_degenerate()
+    assert CyclicCode(4, P("x^2+1")).is_degenerate()
+    assert not CyclicCode(7, P("x^3+x+1")).is_degenerate()
     assert not example1_code().is_degenerate()
     with pytest.raises(ValueError):
-        make_code(7, 1).is_degenerate()
+        CyclicCode(7, 1).is_degenerate()
 
 
 def test_degenerate_matches_repeated_codeword_structure():
-    code = make_code(4, P("x^2+1"))
+    code = CyclicCode(4, P("x^2+1"))
     words = sorted(gf2.poly_to_bits(v, 4) for v in code.codewords())
     assert words == [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 1]]
 
 
 def test_codewords():
-    code = make_code(4, P("x^2+1"))
+    code = CyclicCode(4, P("x^2+1"))
     words = set(code.codewords())
     assert words == {0b0000, 0b0101, 0b1010, 0b1111}
-    assert len(list(make_code(7, P("x^3+x+1")).codewords())) == 16
+    assert len(list(CyclicCode(7, P("x^3+x+1")).codewords())) == 16
     assert 0 in words
-    big = make_code(31, P("x+1"))
+    big = CyclicCode(31, P("x+1"))
     with pytest.raises(GuardError):
         next(big.codewords())
 
 
 def test_weight_distribution():
-    wd = make_code(7, P("x^3+x+1")).weight_distribution()
+    wd = CyclicCode(7, P("x^3+x+1")).weight_distribution()
     assert wd.tolist() == [1, 0, 0, 7, 7, 0, 0, 1]
     for g in gf2.divisors_xn1(15):
-        code = make_code(15, g)
+        code = CyclicCode(15, g)
         wd = code.weight_distribution()
         assert wd[0] == 1
         assert wd.sum() == 1 << code.k
 
 
 def test_p_zero_syndrome():
-    code = make_code(7, P("x^3+x+1"))
+    code = CyclicCode(7, P("x^3+x+1"))
     assert code.p_zero_syndrome(0.0) == 1.0
     assert abs(code.p_zero_syndrome(0.5) - 2.0 ** (code.k - code.n)) < 1e-15
-    assert abs(p_zero_syndrome_code(code, 0.01) - 0.93207) < 1e-5
+    assert abs(code.p_zero_syndrome(0.01) - 0.93207) < 1e-5
     with pytest.raises(ValueError):
         code.p_zero_syndrome(0.7)
 
@@ -97,7 +95,7 @@ def test_p_zero_syndrome_dual_route_matches_weight_sum():
     # k > n - k takes the MacWilliams route through the dual code's weights
     for n in range(1, 21):
         for g in gf2.divisors_xn1(n):
-            code = make_code(n, g)
+            code = CyclicCode(n, g)
             a = weight_counts(g, code.k, n).astype(np.float64)
             i = np.arange(n + 1)
             for p in (0.0, 0.01, 0.1, 0.5):
@@ -107,7 +105,7 @@ def test_p_zero_syndrome_dual_route_matches_weight_sum():
 
 def test_p_zero_syndrome_even_weight_code():
     # k = 30 is past the enumeration guard; the dual is the repetition code
-    code = make_code(31, P("x+1"))
+    code = CyclicCode(31, P("x+1"))
     for p in (0.0, 0.01, 0.1, 0.3, 0.5):
         assert code.p_zero_syndrome(p) == (1.0 + (1.0 - 2.0 * p) ** 31) / 2.0
 
@@ -115,7 +113,7 @@ def test_p_zero_syndrome_even_weight_code():
 def test_p_zero_syndrome_large_code_via_dual():
     # an irreducible degree-21 factor of X^49+1: k = 28, dual dimension 21
     f = P("x^21+x^7+1")
-    code = make_code(49, f)
+    code = CyclicCode(49, f)
     assert code.k == 28
     assert code.p_zero_syndrome(0.0) == 1.0
     assert code.p_zero_syndrome(0.5) == 2.0**-21
@@ -129,7 +127,7 @@ def test_p_zero_syndrome_guard():
     g = 1
     for f, _ in gf2.factor_xn1(63)[:7]:
         g = gf2.mul(g, f)
-    code = make_code(63, g)
+    code = CyclicCode(63, g)
     assert (code.k, code.n - code.k) == (36, 27)
     with pytest.raises(GuardError, match="n-k=27"):
         code.p_zero_syndrome(0.01)
@@ -150,7 +148,7 @@ def test_syndrome_basis_structure():
             assert (hs[l] >> i) & 1 == (1 if i == l else 0)
     assert syndrome_basis(3, P("x+1")) == [0b111]
     # each row is a multiple of the dual generator of C(n, f)
-    code = make_code(7, f)
+    code = CyclicCode(7, f)
     assert all(gf2.rem(h, code.g_dual) == 0 for h in hs)
     with pytest.raises(ValueError):
         syndrome_basis(7, 1)
@@ -169,7 +167,7 @@ def test_span_helpers():
 def test_inner_product_counting_identity():
     # count of codewords orthogonal to h is 2^k iff h is in the dual
     rng = np.random.default_rng(0)
-    code = make_code(7, P("x^3+x+1"))
+    code = CyclicCode(7, P("x^3+x+1"))
     words = list(code.codewords())
     for h in rng.integers(0, 1 << 7, size=100):
         h = int(h)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclid import gf2
-from cyclid.codes import CyclicCode, GuardError, make_code
+from cyclid.codes import CyclicCode, GuardError
 from cyclid.dists import (
     Boundary,
     BoundarySpan,
@@ -35,11 +35,11 @@ def P(text):
 
 def example1_code():
     g0 = gf2.mul(gf2.mul(P("x^4+x^3+1"), P("x^4+x^3+x^2+x+1")), P("x+1"))
-    return make_code(15, g0)
+    return CyclicCode(15, g0)
 
 
 def fig4_code():
-    return make_code(15, gf2.mul(P("x^4+x+1"), P("x^4+x^3+1")))
+    return CyclicCode(15, gf2.mul(P("x^4+x+1"), P("x^4+x^3+1")))
 
 
 # --- block geometry -----------------------------------------------------------
@@ -64,13 +64,13 @@ def test_distinct_block_types_cover_one_period():
 
 
 def test_spec_for_block():
-    code = make_code(7, P("x^3+x+1"))
+    code = CyclicCode(7, P("x^3+x+1"))
     assert spec_for_block(code, Interior(2, 5)) == Truncation(code, 5)
     assert spec_for_block(code, Boundary(6, 0, 1)) == BoundarySpan(code, 6, 0, 1)
 
 
 def test_spec_validation():
-    code = make_code(7, P("x^3+x+1"))
+    code = CyclicCode(7, P("x^3+x+1"))
     with pytest.raises(ValueError):
         Truncation(code, 7)
     with pytest.raises(ValueError):
@@ -88,17 +88,17 @@ def test_build_subspace_dimensions():
     assert len(build_subspace(Truncation(example1_code(), 9))) == 6
     for n in range(1, 7):  # n <= k0: any window is an information set
         assert len(build_subspace(Truncation(example1_code(), n))) == n
-    code = make_code(7, P("x^3+x+1"))
+    code = CyclicCode(7, P("x^3+x+1"))
     assert len(build_subspace(BoundarySpan(code, 6, 0, 1))) == 5
     assert len(build_subspace(BoundarySpan(code, 0, 2, 0))) == 8
 
 
 def test_build_subspace_guards():
-    wide = make_code(15, P("x+1"))
+    wide = CyclicCode(15, P("x+1"))
     with pytest.raises(GuardError):
         build_subspace(BoundarySpan(wide, 14, 1, 0))  # n = 29
     with pytest.raises(GuardError):
-        build_subspace(BoundarySpan(make_code(7, P("x^3+x+1")), 5, 3, 0))  # n = 26
+        build_subspace(BoundarySpan(CyclicCode(7, P("x^3+x+1")), 5, 3, 0))  # n = 26
 
 
 def test_interior_offset_invariance():
@@ -139,7 +139,7 @@ def test_exact_distribution_uniform_when_short():
 
 
 def test_exact_distribution_validates_modulus():
-    code = make_code(7, P("x^3+x+1"))
+    code = CyclicCode(7, P("x^3+x+1"))
     with pytest.raises(ValueError):
         exact_distribution(Truncation(code, 6), P("x^3+x+1"))  # does not divide X^6+1
     with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ def test_theorem1_examples():
     with pytest.raises(ValueError):
         theorem1_restricted_uniform_test(code, 6, P("x^2+x+1"))  # n <= k0
     with pytest.raises(ValueError):
-        theorem1_restricted_uniform_test(make_code(4, P("x^2+1")), 3, P("x+1"))
+        theorem1_restricted_uniform_test(CyclicCode(4, P("x^2+1")), 3, P("x+1"))
 
 
 def test_predict_class_examples():
@@ -256,7 +256,7 @@ def test_error_residue_distribution():
     assert error_residue_distribution(7, f, 0.0).kind is DistributionClass.DEGENERATE
     half = error_residue_distribution(7, f, 0.5)
     assert half.kind is DistributionClass.UNIFORM
-    code = make_code(7, f)
+    code = CyclicCode(7, f)
     dp = error_residue_distribution(7, f, 0.01)
     assert abs(dp.zero_mass - code.p_zero_syndrome(0.01)) < 1e-12
     assert abs(dp.zero_mass - 0.93207) < 1e-5

@@ -1,12 +1,7 @@
 import numpy as np
-import pytest
 
 from cyclid import _kernels as K
 from cyclid import gf2
-
-needs_numba = pytest.mark.skipif(
-    not K.HAVE_NUMBA, reason="numba backend disabled; nothing to compare"
-)
 
 rng = np.random.default_rng(42)
 
@@ -15,17 +10,27 @@ def random_basis(dim, deg_f):
     return rng.integers(0, 1 << deg_f, size=dim, dtype=np.uint64)
 
 
-@needs_numba
-def test_residue_counts_backends_agree():
-    for dim, deg_f in [(0, 3), (5, 3), (10, 8), (14, 6)]:
-        basis = random_basis(dim, deg_f)
-        a = K.residue_counts_dense_nb(basis, deg_f)
-        b = K.residue_counts_dense_np(basis, deg_f)
-        assert np.array_equal(a, b)
-        assert a.sum() == 1 << dim
+def parity(v):
+    return int.bit_count(v) & 1
 
 
-def test_residue_counts_dense_np_against_naive():
+def test_subspace_elements():
+    basis = np.array([0b01, 0b10], dtype=np.uint64)
+    assert K.subspace_elements(basis).tolist() == [0, 1, 2, 3]
+    basis = random_basis(9, 62)
+    basis[3] |= np.uint64(1 << 62)
+    span = K.subspace_elements(basis)
+    assert span.size == 1 << 9
+    for i, v in enumerate(span.tolist()):
+        expect = 0
+        for j in range(9):
+            if i >> j & 1:
+                expect ^= int(basis[j])
+        assert v == expect
+    assert K.subspace_elements([]).tolist() == [0]
+
+
+def test_residue_counts_dense_against_naive():
     for dim in (0, 1, 5, 12):
         for deg_f in (1, 8, 16):
             basis = random_basis(dim, deg_f)
@@ -39,39 +44,36 @@ def test_residue_counts_dense_np_against_naive():
                     if coeffs >> j & 1:
                         r ^= int(basis[j])
                 naive[r] += 1
-            got = K.residue_counts_dense_np(basis, deg_f)
+            got = K.residue_counts_dense(basis, deg_f)
             assert got.dtype == np.int64
             assert np.array_equal(got, naive)
             assert got.sum() == 1 << dim
 
 
-@needs_numba
-def test_weight_counts_backends_agree():
-    for n, g in [(7, 0b1011), (15, 0b10011), (10, 0b111)]:
+def test_weight_counts_against_codewords():
+    for n, g in [(7, 0b1011), (15, 0b10011), (9, 0b111)]:
         k = n - g.bit_length() + 1
-        a = K.weight_counts_nb(g, k, n)
-        b = K.weight_counts_np(g, k, n)
-        assert np.array_equal(a, b)
-        assert a[0] == 1 and a.sum() == 1 << k
+        naive = np.zeros(n + 1, dtype=np.int64)
+        for u in range(1 << k):
+            naive[int.bit_count(gf2.mul(u, g))] += 1
+        got = K.weight_counts(g, k, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, naive)
 
 
-@needs_numba
-def test_ortho_zero_count_backends_agree():
-    for _ in range(20):
-        basis = rng.integers(0, 1 << 12, size=8, dtype=np.uint64)
-        h = int(rng.integers(0, 1 << 12))
-        assert K.ortho_zero_count_nb(basis, h) == K.ortho_zero_count_np(basis, h)
-
-
-@needs_numba
-def test_rem_many_matches_scalar():
-    vals = rng.integers(0, 1 << 40, size=200, dtype=np.uint64)
-    for f in (0b1011, 0b11, 0b1000011):
-        a = K.rem_many_nb(vals, f)
-        b = K.rem_many_np(vals, f)
-        assert np.array_equal(a, b)
-        for v, r in zip(vals.tolist(), a.tolist()):
-            assert r == gf2.rem(v, f)
+def test_ortho_zero_count_against_parity_loop():
+    for dim in (0, 1, 4, 7, 10):
+        for _ in range(4):
+            basis = random_basis(dim, 12)
+            span = [0]
+            for b in basis.tolist():
+                span += [v ^ b for v in span]
+            dual = [h for h in range(1, 1 << 12) if not any(parity(b & h) for b in basis.tolist())]
+            for h in [0, dual[0], int(rng.integers(0, 1 << 12))]:
+                naive = sum(1 for v in span if not parity(v & h))
+                assert K.ortho_zero_count(basis, h) == naive
+            assert K.ortho_zero_count(basis, 0) == 1 << dim
+            assert K.ortho_zero_count(basis, dual[0]) == 1 << dim
 
 
 def test_rem_many_matches_gf2_rem():
@@ -85,22 +87,19 @@ def test_rem_many_matches_gf2_rem():
     assert K.rem_many(np.zeros(4, dtype=np.uint64), 0b1011).tolist() == [0] * 4
 
 
-@needs_numba
-def test_bsc_dp_backends_agree():
-    f = 0b1011
-    masks = np.empty(9, dtype=np.int64)
-    r = 1
-    for i in range(9):
-        masks[i] = r
-        r = gf2.rem(r << 1, f)
+def test_bsc_residue_dp_against_error_patterns():
+    f, n = 0b1011, 9
+    masks = np.array([gf2.rem(1 << i, f) for i in range(n)], dtype=np.int64)
     for p in (0.0, 0.05, 0.5):
-        a = K.bsc_residue_dp_nb(masks, p, 3)
-        b = K.bsc_residue_dp_np(masks, p, 3)
-        assert np.allclose(a, b, atol=1e-15)
-        assert abs(a.sum() - 1.0) < 1e-12
+        naive = np.zeros(8)
+        for e in range(1 << n):
+            w = int.bit_count(e)
+            naive[gf2.rem(e, f)] += p**w * (1.0 - p) ** (n - w)
+        got = K.bsc_residue_dp(masks, p, 3)
+        assert np.allclose(got, naive, rtol=0, atol=1e-13)  # 2^9 float64 terms summed
+        assert abs(got.sum() - 1.0) < 1e-12
 
 
-@needs_numba
 def test_xor_convolve_against_naive():
     for deg in (2, 4, 6):
         size = 1 << deg
@@ -112,10 +111,7 @@ def test_xor_convolve_against_naive():
         for i in range(size):
             for j in range(size):
                 naive[i ^ j] += a[i] * b[j]
-        fast_nb = K.xor_convolve_nb(a.copy(), b.copy())
-        fast_np = K.xor_convolve_np(a.copy(), b.copy())
-        assert np.allclose(fast_nb, naive, atol=1e-12)
-        assert np.allclose(fast_np, naive, atol=1e-12)
+        assert np.allclose(K.xor_convolve(a.copy(), b.copy()), naive, atol=1e-12)
 
 
 def test_xor_convolve_uniform_fixed_point():
@@ -126,8 +122,3 @@ def test_xor_convolve_uniform_fixed_point():
     e /= e.sum()
     out = K.xor_convolve(u.copy(), e)
     assert float(out.max()) == float(out.min())
-
-
-def test_subspace_elements():
-    basis = np.array([0b01, 0b10], dtype=np.uint64)
-    assert sorted(K.subspace_elements(basis).tolist()) == [0, 1, 2, 3]

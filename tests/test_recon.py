@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclid import gf2
-from cyclid.codes import CyclicCode, GuardError, make_code
+from cyclid.codes import CyclicCode, GuardError
 from cyclid.dists import Boundary, Interior
 from cyclid.recon import (
     empirical_stats,
@@ -26,12 +26,12 @@ def P(text):
 
 
 def hamming7():
-    return make_code(7, P("x^3+x+1"))
+    return CyclicCode(7, P("x^3+x+1"))
 
 
 def example1_code():
     g0 = gf2.mul(gf2.mul(P("x^4+x^3+1"), P("x^4+x^3+x^2+x+1")), P("x+1"))
-    return make_code(15, g0)
+    return CyclicCode(15, g0)
 
 
 def test_zero_syndrome_stat():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cyclid import gf2
-from cyclid.codes import make_code
+from cyclid.codes import CyclicCode
 from cyclid.stream import (
     StreamConfig,
     blocks_to_polys,
@@ -19,15 +19,15 @@ def P(text):
 
 
 def hamming7():
-    return make_code(7, P("x^3+x+1"))
+    return CyclicCode(7, P("x^3+x+1"))
 
 
 def test_config_validation():
     code = hamming7()
     with pytest.raises(ValueError):
-        StreamConfig(make_code(7, 1), 0, 0.0, 10, 0)  # trivial
+        StreamConfig(CyclicCode(7, 1), 0, 0.0, 10, 0)  # trivial
     with pytest.raises(ValueError):
-        StreamConfig(make_code(4, P("x^2+1")), 0, 0.0, 10, 0)  # degenerate
+        StreamConfig(CyclicCode(4, P("x^2+1")), 0, 0.0, 10, 0)  # degenerate
     with pytest.raises(ValueError):
         StreamConfig(code, 7, 0.0, 10, 0)
     with pytest.raises(ValueError):
