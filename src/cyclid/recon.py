@@ -37,7 +37,7 @@ from .dists import (
     spec_for_block,
     build_subspace,
 )
-from .stream import blocks_to_polys, segment
+from .stream import blocks_to_polys, offset_words, segment
 
 MIN_BLOCKS_COMFORT = 50
 
@@ -242,28 +242,32 @@ def reconstruct(
     spread_lo: dict[tuple[int, int], float] = {}
     spread_hi: dict[tuple[int, int], float] = {}
 
+    # zero bits past the end give every offset's last block a following aligned word
+    padded = np.concatenate([bits, np.zeros(n_max, dtype=np.uint8)])
+
     def eval_length(n: int) -> list[TestOutcome]:
         rows = []
         factors = _candidate_factors(n)
         codes = {f: CyclicCode(n, f) for f in factors}
+        # every offset's blocks come from the blocks at offset 0, packed once
+        aligned = blocks_to_polys(segment(padded[: bits.size + n], n, 0))
+        words = np.empty(aligned.size - 1, dtype=np.uint64)
         for s in range(n):
-            blocks = segment(bits, n, s)
-            m = blocks.shape[0]
-            if m == 0:
+            m = (bits.size - s) // n
+            if m <= 0:
                 continue
-            polys = blocks_to_polys(blocks)
+            polys = offset_words(aligned, n, s, words[:m])
             for f in factors:
-                res = rem_many(polys, f)
-                if method == "zero-syndrome":
-                    stat = float(np.count_nonzero(res == 0) / res.size)
-                    out = hypothesis_test(stat, m, codes[f], p)
-                    out.s = s
-                elif method == "factor-entropy":
+                if method == "factor-entropy":
                     stat = _mean_zero_check_frac(polys, n, f)
                     out = TestOutcome(n=n, s=s, f=f, M=m, stat=stat)
-                else:  # root-entropy
-                    stat = float(np.count_nonzero(res == 0) / res.size)
-                    out = TestOutcome(n=n, s=s, f=f, M=m, stat=stat)
+                else:
+                    stat = float(np.count_nonzero(rem_many(polys, f) == 0) / m)
+                    if method == "zero-syndrome":
+                        out = hypothesis_test(stat, m, codes[f], p)
+                        out.s = s
+                    else:  # root-entropy
+                        out = TestOutcome(n=n, s=s, f=f, M=m, stat=stat)
                 rows.append(out)
         return rows
 

@@ -59,10 +59,11 @@ def generate_stream(cfg: StreamConfig) -> np.ndarray:
 
     m = cfg.blocks + 1  # one extra codeword supplies the s0-bit head
     msgs = msg_rng.integers(0, 2, size=(m, code.k), dtype=np.uint8)
-    words = np.empty((m, n0), dtype=np.uint8)
-    for i in range(m):
-        cw = gf2.mul(gf2.poly_from_bits(msgs[i]), code.g)
-        words[i] = gf2.poly_to_bits(cw, n0)
+    # codeword u*g: the XOR of the message bits shifted by each exponent of g
+    words = np.zeros((m, n0), dtype=np.uint8)
+    for j in range(code.g.bit_length()):
+        if code.g >> j & 1:
+            words[:, j : j + code.k] ^= msgs
     flips = (noise_rng.random(size=(m, n0)) < cfg.p).astype(np.uint8)
     words ^= flips
 
@@ -95,12 +96,26 @@ def blocks_to_polys(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def offset_words(aligned: np.ndarray, n: int, s: int, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with the first out.size bit-packed blocks at offset s; return it.
+
+    `aligned` is blocks_to_polys(segment(bits + n zero bits, n, 0)).  Block
+    j at offset s is the top n-s bits of aligned word j followed by the low
+    s bits of word j+1, so `out` holds at most aligned.size - 1 words.
+    """
+    m = out.size
+    np.left_shift(aligned[1 : m + 1], np.uint64(n - s), out=out)
+    np.bitwise_and(out, np.uint64((1 << n) - 1), out=out)
+    np.bitwise_or(out, aligned[:m] >> np.uint64(s), out=out)
+    return out
+
+
 # --- stream files ------------------------------------------------------------
 
 
 def save_stream(path: str | Path, bits: np.ndarray) -> None:
     """Single line of ASCII '0'/'1' characters plus a trailing newline."""
-    Path(path).write_text("".join("01"[b] for b in bits) + "\n")
+    Path(path).write_bytes((np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes() + b"\n")
 
 
 def load_stream(path: str | Path) -> np.ndarray:

@@ -167,7 +167,9 @@ def test_criterion_4_cross_validation(big_sweep):
         cv.ok
         and prop.ok
         and cv.checked > 100_000
+        and cv.checked == 121_865
         and degenerate == expected
+        and len(expected) == 139
         and big_sweep["elapsed"] < 600.0
     )
     report(
@@ -182,7 +184,14 @@ def test_criterion_4_cross_validation(big_sweep):
 def test_criterion_5_noisy_sweep(big_sweep):
     uni = big_sweep["noisy_uniform"]
     bound = big_sweep["theorem5_bound"]
-    ok = uni.ok and bound.ok and bound.checked > 300_000 and uni.checked > 500
+    ok = (
+        uni.ok
+        and bound.ok
+        and bound.checked > 300_000
+        and uni.checked > 500
+        and bound.checked == 365_178
+        and uni.checked == 1_023
+    )
     report(
         5,
         ok,

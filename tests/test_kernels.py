@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from cyclid import _kernels as K
@@ -83,8 +85,51 @@ def test_rem_many_matches_gf2_rem():
         got = K.rem_many(vals, f)
         assert got.dtype == np.uint64
         assert got.tolist() == [gf2.rem(v, f) for v in vals.tolist()]
-    assert K.rem_many(np.empty(0, dtype=np.uint64), 0b1011).size == 0
     assert K.rem_many(np.zeros(4, dtype=np.uint64), 0b1011).tolist() == [0] * 4
+
+
+def test_rem_many_sizes_across_slices():
+    # 32 768 words per slice: sizes on both sides of one and of two slice edges
+    f = 0b1100111
+    vals = rng.integers(0, 1 << 24, size=70_000, dtype=np.uint64)
+    expect = [gf2.rem(v, f) for v in vals.tolist()]
+    for size in (0, 1, 32_768, 32_769, 70_000):
+        got = K.rem_many(vals[:size], f)
+        assert got.dtype == np.uint64 and got.shape == (size,)
+        assert got.tolist() == expect[:size]
+
+
+def test_rem_many_six_lookups_per_word():
+    # bit 62 set: 62 bits above deg f = 1 take six 11-bit lookups
+    vals = rng.integers(0, 1 << 63, size=500, dtype=np.uint64) | np.uint64(1 << 62)
+    for f in (0b11, 0b111, 0b1000011, (1 << 55) | 0b101):
+        assert K.rem_many(vals, f).tolist() == [gf2.rem(v, f) for v in vals.tolist()]
+
+
+def test_rem_many_trivial_and_wide_divisors():
+    vals = rng.integers(0, 1 << 30, size=200, dtype=np.uint64)
+    assert K.rem_many(vals, 1).tolist() == [0] * 200
+    for f in ((1 << 30) | 1, (1 << 40) | 0b1011, (1 << 63) | 1):  # deg f >= word width
+        got = K.rem_many(vals, f)
+        assert got.tolist() == [gf2.rem(v, f) for v in vals.tolist()] == vals.tolist()
+
+
+def test_rem_many_keeps_shape():
+    vals = rng.integers(0, 1 << 40, size=(37, 11), dtype=np.uint64)
+    for v2 in (vals, vals.T, vals[::2, 1:]):  # C order, Fortran order, strided
+        got = K.rem_many(v2, 0b10011)
+        assert got.shape == v2.shape
+        assert [gf2.rem(v, 0b10011) for v in v2.ravel().tolist()] == got.ravel().tolist()
+
+
+def test_rem_many_scratch_is_one_slice():
+    # the output plus two slice-sized scratch buffers, no input-sized temporary
+    vals = rng.integers(0, 1 << 63, size=200_000, dtype=np.uint64)
+    tracemalloc.start()
+    K.rem_many(vals, 0b1011)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < vals.nbytes + 2 * 8 * 32_768 + 100_000
 
 
 def test_bsc_residue_dp_against_error_patterns():

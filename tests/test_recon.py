@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -215,6 +216,27 @@ def test_reconstruct_word_limit():
     assert len(rep.outcomes) == 63 * len(gf2.factor_xn1(63))
     with pytest.raises(GuardError, match="64"):
         reconstruct(coin, 3, 64, 0.02)
+
+
+def test_reconstruct_wide_blocks_zero_counts(monkeypatch):
+    # 57..63-bit blocks at every offset, where the packed words of two
+    # neighbouring aligned blocks span up to 125 bits.  X^59+1 and X^61+1
+    # are too slow to factor by trial division, so each length is tested
+    # against x+1, x^d+1 for its least divisor d > 1 and (X^n+1)/(x+1).
+    def factors(n):
+        d = next(d for d in range(2, n + 1) if n % d == 0)
+        return sorted({0b11, (1 << d) | 1, gf2.div(gf2.xn1(n), 0b11)} - {gf2.xn1(n)})
+
+    monkeypatch.setattr("cyclid.recon._candidate_factors", factors)
+    rng = np.random.Generator(np.random.Philox(9))
+    bits = rng.integers(0, 2, size=63 * 12 + 40, dtype=np.uint8)
+    rep = reconstruct(bits, 57, 63, 0.02)
+    assert {(o.n, o.s) for o in rep.outcomes} == {(n, s) for n in range(57, 64) for s in range(n)}
+    for (n, s), group in itertools.groupby(rep.outcomes, key=lambda o: (o.n, o.s)):
+        polys = [gf2.poly_from_bits(row) for row in segment(bits, n, s)]
+        for o in group:
+            zeros = sum(gf2.rem(v, o.f) == 0 for v in polys)
+            assert (o.M, o.stat) == (len(polys), zeros / len(polys))
 
 
 def test_comparison_methods_rank_true_parameters():

@@ -8,6 +8,7 @@ from cyclid.stream import (
     blocks_to_polys,
     generate_stream,
     load_stream,
+    offset_words,
     save_stream,
     save_stream_metadata,
     segment,
@@ -70,6 +71,44 @@ def test_blocks_to_polys_matches_poly_from_bits():
         blocks_to_polys(np.zeros((2, 64), dtype=np.uint8))
 
 
+def test_offset_words_match_segment_and_pack():
+    rng = np.random.default_rng(5)
+    for n in (2, 7, 8, 9, 56, 57, 63):
+        # length q*n + n-1 keeps (N-s)//n = N//n at every s; q*n drops a block at s > 0
+        for length in (5 * n + n - 1, 5 * n, 4 * n + 1):
+            bits = rng.integers(0, 2, size=length, dtype=np.uint8)
+            aligned = blocks_to_polys(segment(np.concatenate([bits, np.zeros(n, np.uint8)]), n, 0))
+            for s in range(n):
+                expect = blocks_to_polys(segment(bits, n, s))
+                out = np.empty(expect.size, dtype=np.uint64)
+                got = offset_words(aligned, n, s, out)
+                assert got is out
+                assert got.tolist() == expect.tolist()
+
+
+def test_codewords_match_polynomial_product():
+    for n0, g0, s0 in [
+        (7, "x^3+x+1", 3),
+        (15, "x^8+x^7+x^6+x^4+1", 5),
+        (9, "x^2+x+1", 0),
+        (15, "x^4+x+1", 14),
+    ]:
+        code = CyclicCode(n0, P(g0))
+        for seed in (0, 1, 2):
+            cfg = StreamConfig(code, s0=s0, p=0.05, blocks=40, seed=seed)
+            # the transmitter spelled out one codeword at a time, as gf2.mul defines it
+            msg_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+            msg_rng = np.random.Generator(np.random.Philox(msg_ss))
+            msgs = msg_rng.integers(0, 2, size=(41, code.k), dtype=np.uint8)
+            noise = np.random.Generator(np.random.Philox(noise_ss)).random(size=(41, n0)) < 0.05
+            words = []
+            for u, flips in zip(msgs, noise.tolist()):
+                cw = gf2.poly_to_bits(gf2.mul(gf2.poly_from_bits(u), code.g), n0)
+                words.append([b ^ e for b, e in zip(cw, flips)])
+            expect = (words[0][n0 - s0 :] if s0 else []) + sum(words[1:], [])
+            assert generate_stream(cfg).tolist() == expect
+
+
 def test_messages_independent_of_noise():
     # same seed, different p: noise-free words underneath are identical
     code = hamming7()
@@ -124,6 +163,9 @@ def test_stream_files(tmp_path):
     bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     save_stream(path, bits)
     assert path.read_text() == "10110\n"
+    save_stream(path, [True, False, True])
+    assert path.read_bytes() == b"101\n"
+    save_stream(path, bits)
     assert np.array_equal(load_stream(path), bits)
     cfg = StreamConfig(hamming7(), s0=2, p=0.0, blocks=3, seed=1)
     save_stream_metadata(path, cfg)
