@@ -74,11 +74,12 @@ def rem_many(vals: np.ndarray, f: int) -> np.ndarray:
     deg_f = f.bit_length() - 1
     out = np.empty(vals.shape, dtype=np.uint64)  # C order: its flat view below is no copy
     np.bitwise_and(vals, np.uint64((1 << deg_f) - 1), out=out)
-    if vals.size == 0:
+    top = int(vals.max()).bit_length() if vals.size else 0
+    if top <= deg_f:  # words already reduced
         return out
     cols = []  # X^i mod f for i = deg f .. top bit of the words
     r = f ^ (1 << deg_f)
-    for _ in range(deg_f, int(vals.max()).bit_length()):
+    for _ in range(deg_f, top):
         cols.append(r)
         r <<= 1
         if r >> deg_f & 1:

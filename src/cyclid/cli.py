@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--n0", type=int, action="append", help="restrict code lengths")
-    p.add_argument("--jobs", type=int, default=None)
     return parser
 
 
@@ -196,7 +195,7 @@ def run_reconstruct(args) -> int:
 
 def run_verify(args) -> int:
     n0_list = tuple(args.n0) if args.n0 else (7, 15)
-    results = sweeps.run_suite(args.suite, n0_list=n0_list, jobs=args.jobs)
+    results = sweeps.run_suite(args.suite, n0_list=n0_list)
     failed = False
     for r in results:
         print(r.summary())

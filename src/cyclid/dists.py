@@ -10,8 +10,10 @@ suffix code, q full codes, and a prefix code).
 Two independent routes compute the distribution class of a block's
 residue modulo a candidate divisor f of X^n + 1:
 
-* ``exact_distribution`` enumerates all 2^dim subspace elements,
-  reduces each modulo f and tallies; masses are exact dyadic rationals
+* ``exact_distribution`` reduces the subspace basis modulo f and
+  row-reduces the residues to a basis of their image subgroup H of rank
+  r; the uniform measure on the subspace puts 2^(dim-r) of its 2^dim
+  elements on each residue of H, so masses are exact dyadic rationals
   (integer counts over a power-of-two denominator).
 * ``predict_class`` never enumerates: it applies the classification
   rules for truncations and boundary spans (information-set argument,
@@ -32,7 +34,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from ._kernels import bsc_residue_dp, residue_counts_dense, subspace_elements, xor_convolve
+from ._kernels import (
+    bsc_residue_dp,
+    rem_many,
+    residue_counts_dense,
+    subspace_elements,
+    xor_convolve,
+)
 from .codes import CyclicCode, GuardError, span_basis
 
 DIM_GUARD = 24  # subspace enumeration cap: 2^24 elements
@@ -113,12 +121,7 @@ def distinct_block_types(n0: int, n: int, s: int, s0: int) -> list[BlockType]:
     n0 / gcd(n, n0), so that many indices j suffice.
     """
     period = n0 // math.gcd(n, n0)
-    seen = []
-    for j in range(1, period + 1):
-        bt = block_decomposition(n0, n, s, s0, j)
-        if bt not in seen:
-            seen.append(bt)
-    return seen
+    return list(dict.fromkeys(block_decomposition(n0, n, s, s0, j) for j in range(1, period + 1)))
 
 
 # --- subspace specifications -------------------------------------------------
@@ -287,12 +290,14 @@ def _validate_modulus(n: int, f: int) -> int:
     return deg_f
 
 
-def distribution_from_basis(basis: list[int], f: int) -> SyndromeDistribution:
+def distribution_from_basis(basis, f: int) -> SyndromeDistribution:
     """Exact residue distribution of the uniform measure on a subspace.
 
-    Enumerates all 2^dim elements through their basis coordinates
-    (residues add, so each element's residue is the XOR of its basis
-    residues) and tallies.
+    Reduction mod f is linear, so the residues of the 2^dim span elements
+    form the span H of the basis residues, each hit equally often.  The
+    residues are row-reduced to r independent vectors; H is their span
+    and each of its 2^r residues gets the count 2^(dim - r).  The basis
+    words may be given already reduced mod f.
     """
     dim = len(basis)
     if dim > DIM_GUARD:
@@ -300,16 +305,17 @@ def distribution_from_basis(basis: list[int], f: int) -> SyndromeDistribution:
     deg_f = f.bit_length() - 1
     if deg_f > DEGF_DP_GUARD:
         raise GuardError(f"residue tallies need deg f <= {DEGF_DP_GUARD}, got {deg_f}")
-    res_basis = np.array([gf2.rem(b, f) for b in basis], dtype=np.uint64)
-    counts = residue_counts_dense(res_basis, deg_f)
-    residues = np.nonzero(counts)[0].astype(np.uint64)
-    counts = counts[counts > 0]
-    probs = counts.astype(np.float64) / float(1 << dim)
+    image = span_basis(rem_many(np.asarray(basis, dtype=np.uint64), f).tolist())
+    # nonzero scans a bool array several times faster than an int64 one
+    hit = residue_counts_dense(image, deg_f).astype(bool)
+    residues = np.flatnonzero(hit).astype(np.uint64)
+    counts = np.full(residues.size, 1 << (dim - len(image)), dtype=np.int64)
+    probs = np.full(residues.size, 1.0 / residues.size)
     return SyndromeDistribution(f, residues, probs, counts=counts, dim=dim)
 
 
 def exact_distribution(spec: SubspaceSpec, f: int) -> SyndromeDistribution:
-    """Noise-free distribution of (block mod f) by full subspace enumeration."""
+    """Noise-free distribution of (block mod f) over the block subspace."""
     _validate_modulus(spec.n, f)
     return distribution_from_basis(build_subspace(spec), f)
 

@@ -9,18 +9,16 @@ run them and report per-check counts.
 The heavy noise-free/noisy distribution sweep is organized in rows of
 the assumed block length n so that the error-residue dynamic programs
 are computed once per (n, f, p) and shared across codes and
-subspaces.  Rows are independent and run in a thread pool of ``jobs``
-workers (by default the CPU count, at most 4).  The pool stays only
-because callers pass ``jobs``: Python code between short numpy calls
-holds the GIL for most of a row, so the pool measures slower than a
-serial run.
+subspaces, and every basis word of a (n, n0) row is reduced modulo f
+in one call.  Rows run serially: Python code between short numpy
+calls holds the GIL for most of a row, so a thread pool measured
+slower than a serial run.  The ``jobs`` keywords are accepted and
+ignored.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,12 +72,6 @@ class SweepResult:
         return f"{self.name}: checked {self.checked}, {state}"
 
 
-def _jobs(jobs: int | None) -> int:
-    if jobs is None or jobs < 1:
-        return min(4, os.cpu_count() or 1)
-    return jobs
-
-
 def nondegenerate_codes(n0: int) -> list[CyclicCode]:
     """All nontrivial non-degenerate C(n0, g0), canonically ordered."""
     out = []
@@ -92,13 +84,13 @@ def nondegenerate_codes(n0: int) -> list[CyclicCode]:
 
 def _distinct_specs(code: CyclicCode, n: int) -> list:
     """Deduplicated subspace specs reachable over all offsets s for (code, n)."""
-    specs = []
-    for s in range(n):
-        for bt in distinct_block_types(code.n, n, s, 0):
-            spec = spec_for_block(code, bt)
-            if spec not in specs:
-                specs.append(spec)
-    return specs
+    return list(
+        dict.fromkeys(
+            spec_for_block(code, bt)
+            for s in range(n)
+            for bt in distinct_block_types(code.n, n, s, 0)
+        )
+    )
 
 
 # --- the distribution sweep (noise-free and noisy) ---------------------------
@@ -147,18 +139,25 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
         code_specs = [
             (code, _spec_bases(code, n, with_components)) for code in nondegenerate_codes(n0)
         ]
+        bases = [basis for _, spec_bases in code_specs for _, basis, _ in spec_bases]
+        if not bases:
+            continue  # every spec is over the guards: no error DP either
+        words = np.array([b for basis in bases for b in basis], dtype=np.uint64)
+        ends = np.cumsum([len(basis) for basis in bases])[:-1]
         for f in divisors:
             deg_f = f.bit_length() - 1
             err_dense = {}
             if with_noise and deg_f <= 20:
                 for p in p_list:
                     err_dense[p] = _error_dp_cached(n, f, p)[0]
+            # the residues of every spec basis of the row, in spec order
+            residues = iter(np.split(rem_many(words, f), ends))
             for code, spec_bases in code_specs:
                 trunc_kind = None
                 comp_memo: dict = {}
-                for spec, basis, comps in spec_bases:
+                for spec, _, comps in spec_bases:
                     try:
-                        dist = distribution_from_basis(basis, f)
+                        dist = distribution_from_basis(next(residues), f)
                     except GuardError:
                         continue
                     kind = dist.kind
@@ -304,20 +303,13 @@ def run_distribution_sweeps(
 
     Covers every nontrivial non-degenerate g0 | X^n0+1, every reachable
     subspace spec for n in [2, 2*max(n0)+2], every nontrivial divisor f
-    of X^n+1, within the enumeration guards.
+    of X^n+1, within the enumeration guards.  ``jobs`` is ignored: the
+    rows run serially.
     """
     lo, hi = n_range if n_range else (2, 2 * max(n0_list) + 2)
-    rows = list(range(lo, hi + 1))
     results: dict[str, SweepResult] = {}
-    worker = lambda n: _sweep_n_row(n, n0_list, p_list, with_noise, with_components)  # noqa: E731
-    nj = _jobs(jobs)
-    if nj > 1:
-        with ThreadPoolExecutor(max_workers=nj) as pool:
-            row_results = list(pool.map(worker, rows))
-    else:
-        row_results = [worker(n) for n in rows]
-    for rr in row_results:
-        for name, sub in rr.items():
+    for n in range(lo, hi + 1):
+        for name, sub in _sweep_n_row(n, n0_list, p_list, with_noise, with_components).items():
             if name in results:
                 results[name].merge(sub)
             else:
@@ -331,34 +323,24 @@ def run_distribution_sweeps(
 def sweep_mean_zero_coeff(
     n0: int = 15, p_list=(0.0, 0.05), jobs: int | None = None
 ) -> SweepResult:
-    """Mean zero-coefficient probability is exactly 1/2 whenever n < n0."""
+    """Mean zero-coefficient probability is exactly 1/2 whenever n < n0.
+
+    ``jobs`` is ignored: the rows run serially.
+    """
     result = SweepResult("mean_zero_coeff_half")
     codes = nondegenerate_codes(n0)
-
-    def row(n):
-        sub = SweepResult("row")
+    for n in range(2, n0):
+        code_specs = [(code, _distinct_specs(code, n)) for code in codes]
         for f in gf2.divisors_xn1(n):
             if not 1 <= f.bit_length() - 1 < n:
                 continue
-            for code in codes:
-                for spec in _distinct_specs(code, n):
+            for code, specs in code_specs:
+                for spec in specs:
                     for p in p_list:
                         val = mean_zero_coeff_prob_exact(code, spec, f, p)
-                        sub.checked += 1
+                        result.checked += 1
                         if abs(val - 0.5) > 1e-12:
-                            sub.failures.append((code.g, n, spec, f, p, val))
-        return sub
-
-    nj = _jobs(jobs)
-    rows = range(2, n0)
-    if nj > 1:
-        with ThreadPoolExecutor(max_workers=nj) as pool:
-            subs = list(pool.map(row, rows))
-    else:
-        subs = [row(n) for n in rows]
-    for sub in subs:
-        result.checked += sub.checked
-        result.failures.extend(sub.failures)
+                            result.failures.append((code.g, n, spec, f, p, val))
     return result
 
 
@@ -643,11 +625,14 @@ def sweep_reconstruction(
 def run_suite(
     name: str, n0_list=(7, 15), jobs: int | None = None
 ) -> list[SweepResult]:
-    """Named verification suites used by the command-line front end."""
+    """Named verification suites used by the command-line front end.
+
+    ``jobs`` is ignored: every suite runs serially.
+    """
     if name == "algebra":
         return [sweep_algebra()]
     if name == "distributions":
-        res = run_distribution_sweeps(n0_list=n0_list, with_noise=False, jobs=jobs)
+        res = run_distribution_sweeps(n0_list=n0_list, with_noise=False)
         out = [res[k] for k in ("cross_validation", "proposition1", "theorem2", "theorem3")]
         return out + [
             sweep_lemma1(n0_list=n0_list),
@@ -656,17 +641,17 @@ def run_suite(
             sweep_syndrome_basis(),
         ]
     if name == "noisy":
-        res = run_distribution_sweeps(n0_list=n0_list, with_components=False, jobs=jobs)
+        res = run_distribution_sweeps(n0_list=n0_list, with_components=False)
         return [
             res[k] for k in ("noisy_uniform", "eq23_support", "theorem5_bound")
         ] + [sweep_pzero_identity()]
     if name == "bounds":
-        return [sweep_sullivan(), sweep_mean_zero_coeff(jobs=jobs)]
+        return [sweep_sullivan(), sweep_mean_zero_coeff()]
     if name == "recon":
         return [sweep_reconstruction()]
     if name == "all":
         out = []
         for suite in ("algebra", "distributions", "noisy", "bounds", "recon"):
-            out.extend(run_suite(suite, n0_list=n0_list, jobs=jobs))
+            out.extend(run_suite(suite, n0_list=n0_list))
         return out
     raise ValueError(f"unknown suite {name!r}")

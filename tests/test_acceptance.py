@@ -33,9 +33,6 @@ from cyclid.sweeps import (
     sweep_sullivan,
 )
 
-JOBS = 2
-
-
 def P(text):
     return gf2.parse_poly(text)
 
@@ -66,7 +63,7 @@ def warm_kernels():
 def big_sweep():
     t0 = time.perf_counter()
     res = run_distribution_sweeps(
-        n0_list=(7, 15), p_list=(0.01, 0.05, 0.1), with_components=False, jobs=JOBS
+        n0_list=(7, 15), p_list=(0.01, 0.05, 0.1), with_components=False
     )
     res["elapsed"] = time.perf_counter() - t0
     return res
@@ -202,7 +199,7 @@ def test_criterion_5_noisy_sweep(big_sweep):
 
 
 def test_criterion_6_mean_check_half(warm_kernels):
-    res = sweep_mean_zero_coeff(n0=15, p_list=(0.0, 0.05), jobs=JOBS)
+    res = sweep_mean_zero_coeff(n0=15, p_list=(0.0, 0.05))
     report(
         6,
         res.ok and res.checked > 40_000,

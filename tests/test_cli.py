@@ -164,9 +164,10 @@ def test_verify_algebra(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "algebra")
     assert code == 0
     assert "algebra: checked" in out
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "nope"])
-    assert exc.value.code == 1
+    for argv in (["--suite", "nope"], ["--suite", "algebra", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 1
 
 
 def test_guard_override(capsys):

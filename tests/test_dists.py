@@ -27,6 +27,8 @@ from cyclid.dists import (
     spec_for_block,
     theorem1_restricted_uniform_test,
 )
+from cyclid._kernels import subspace_elements
+from cyclid.sweeps import _distinct_specs, nondegenerate_codes
 
 
 def P(text):
@@ -113,6 +115,56 @@ def test_interior_offset_invariance():
         dist = distribution_from_basis(span_basis(rows), f)
         assert np.array_equal(dist.residues, base.residues)
         assert np.array_equal(dist.counts, base.counts)
+
+
+def _tally_by_enumeration(basis, f):
+    """Brute-force reference: the residues of all 2^dim span elements, tallied."""
+    tally = np.bincount(subspace_elements([gf2.rem(b, f) for b in basis]))
+    residues = np.flatnonzero(tally)
+    counts = tally[residues]
+    dist = SyndromeDistribution(f, residues, counts / float(1 << len(basis)), counts=counts)
+    return residues, counts, dist.kind
+
+
+def _assert_matches_enumeration(basis, f):
+    dist = distribution_from_basis(basis, f)
+    residues, counts, kind = _tally_by_enumeration(basis, f)
+    assert dist.residues.tolist() == residues.tolist()
+    assert dist.counts.tolist() == counts.tolist()
+    assert dist.dim == len(basis)
+    assert dist.kind is kind
+
+
+def test_elimination_matches_enumeration_n0_7():
+    pairs = 0
+    for n in range(2, 13):
+        divisors = [f for f in gf2.divisors_xn1(n) if 1 <= f.bit_length() - 1 < n]
+        for code in nondegenerate_codes(7):
+            for spec in _distinct_specs(code, n):
+                basis = build_subspace(spec)
+                for f in divisors:
+                    _assert_matches_enumeration(basis, f)
+                    pairs += 1
+    assert pairs > 2000
+
+
+def test_elimination_with_rank_below_dim():
+    f = P("x^4+x+1")
+    v, w = 0b10110, 0b0011  # residues x^2 + 1 and x + 1
+    cases = [
+        [v, v, w],  # a repeated vector
+        [v, 0, w],  # a zero vector
+        [f, f << 3, gf2.mul(f, 0b101)],  # every residue collapses to 0
+        [v, f << 2, v ^ gf2.mul(f, 0b11)],  # one collapses, one repeats another's residue
+        [],
+    ]
+    for basis in cases:
+        _assert_matches_enumeration(basis, f)
+    dist = distribution_from_basis([v, v, w], f)
+    assert dist.counts.tolist() == [2] * 4 and dist.zero_mass == 0.25
+    zero = distribution_from_basis(cases[2], f)
+    assert zero.residues.tolist() == [0] and zero.counts.tolist() == [8]
+    assert zero.kind is DistributionClass.DEGENERATE
 
 
 # --- exact distributions ---------------------------------------------------------

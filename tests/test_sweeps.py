@@ -1,7 +1,9 @@
 import pytest
 
 from cyclid import gf2
+from cyclid.dists import _error_dp_cached
 from cyclid.sweeps import (
+    _sweep_n_row,
     nondegenerate_codes,
     run_distribution_sweeps,
     run_suite,
@@ -25,7 +27,7 @@ def test_nondegenerate_codes():
 
 @pytest.fixture(scope="module")
 def n0_7_sweeps():
-    return run_distribution_sweeps(n0_list=(7,), jobs=2)
+    return run_distribution_sweeps(n0_list=(7,))
 
 
 def test_cross_validation_n0_7(n0_7_sweeps):
@@ -60,12 +62,13 @@ def test_noisy_checks_n0_7(n0_7_sweeps):
         assert n0_7_sweeps[name].checked == checked
 
 
-def test_distribution_sweeps_same_totals_serial_and_threaded():
-    serial = run_distribution_sweeps(n0_list=(7,), n_range=(8, 10), jobs=1)
-    threaded = run_distribution_sweeps(n0_list=(7,), n_range=(8, 10), jobs=2)
-    # SweepResult is a dataclass: counts, failures and notes compare in full
-    assert serial == threaded
-    assert serial["cross_validation"].checked == 700
+def test_guarded_row_builds_no_error_dp():
+    # at n = 30 every spec of n0 = 15 is over the block-length guard and
+    # n0 = 7 is out of range, so the row must not build an error DP
+    misses = _error_dp_cached.cache_info().misses
+    res = _sweep_n_row(30, (7, 15), (0.01,), True, False)
+    assert _error_dp_cached.cache_info().misses == misses
+    assert all(r.checked == 0 for r in res.values())
 
 
 def test_lemma_suites_small():
