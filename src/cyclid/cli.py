@@ -28,7 +28,7 @@ from .dists import (
     noisy_distribution,
     predict_class,
 )
-from .recon import reconstruct, render_report
+from .recon import METHODS, reconstruct, render_report
 from .stream import (
     StreamConfig,
     generate_stream,
@@ -101,13 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--p", type=float, default=0.0)
-    p.add_argument(
-        "--method",
-        choices=["zero-syndrome", "factor-entropy", "root-entropy"],
-        default="zero-syndrome",
-    )
+    p.add_argument("--method", choices=list(METHODS), default="zero-syndrome")
     p.add_argument("--machine", action="store_true", help="line-delimited records")
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -152,10 +147,8 @@ def _dist(args) -> int:
         spec = Truncation(code, args.trunc)
     else:
         spec = BoundarySpan(code, args.d1, args.q, args.d2)
-    if args.p > 0.0:
-        dist = noisy_distribution(spec, args.f, args.p)
-    else:
-        dist = exact_distribution(spec, args.f)
+    # exact law at p = 0; any p outside [0, 1/2] is refused
+    dist = noisy_distribution(spec, args.f, args.p)
     print(format_distribution(dist))
     predicted = predict_class(code, spec, args.f)
     observed = classify(dist if args.p == 0.0 else exact_distribution(spec, args.f))
@@ -181,9 +174,7 @@ def run_gen(args) -> int:
 
 def run_reconstruct(args) -> int:
     bits = load_stream(args.infile)
-    report = reconstruct(
-        bits, args.n_min, args.n_max, args.p, method=args.method, jobs=args.jobs
-    )
+    report = reconstruct(bits, args.n_min, args.n_max, args.p, method=args.method)
     text = render_report(report, machine=args.machine)
     if args.out:
         with open(args.out, "w") as fh:

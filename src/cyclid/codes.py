@@ -152,6 +152,16 @@ class CyclicCode:
         return math.ldexp(float(np.sum(b * (1.0 - 2.0 * p) ** i)), k - n)
 
 
+def check_divisor(n: int, f: int) -> int:
+    """deg f, once f is checked to be a nontrivial proper divisor of X^n + 1."""
+    deg_f = f.bit_length() - 1
+    if f <= 1 or deg_f >= n:
+        raise ValueError("f must be a nontrivial proper divisor of X^n+1")
+    if gf2.rem(gf2.xn1(n), f):
+        raise ValueError(f"{gf2.format_poly(f)} does not divide X^{n}+1")
+    return deg_f
+
+
 def parity_check_rows(n: int, f: int) -> list[int]:
     """Rows X^l * f_dual of the standard parity-check matrix of C(n, f).
 
@@ -176,11 +186,7 @@ def syndrome_basis(n: int, f: int) -> list[int]:
     w . h_l; the h_l are linearly independent and span the dual code of
     C(n, f).  Requires f to be a proper nontrivial divisor of X^n + 1.
     """
-    deg_f = f.bit_length() - 1
-    if f <= 1 or deg_f >= n:
-        raise ValueError("f must be a nontrivial proper divisor of X^n+1")
-    if gf2.rem(gf2.xn1(n), f):
-        raise ValueError(f"{gf2.format_poly(f)} does not divide X^{n}+1")
+    deg_f = check_divisor(n, f)
     h = [0] * deg_f
     r = 1
     for i in range(n):

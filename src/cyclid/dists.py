@@ -41,7 +41,7 @@ from ._kernels import (
     subspace_elements,
     xor_convolve,
 )
-from .codes import CyclicCode, GuardError, span_basis
+from .codes import CyclicCode, GuardError, check_divisor, span_basis
 
 DIM_GUARD = 24  # subspace enumeration cap: 2^24 elements
 SPAN_GUARD_N = 24  # block length cap for subspace models
@@ -281,15 +281,6 @@ class SyndromeDistribution:
         )
 
 
-def _validate_modulus(n: int, f: int) -> int:
-    deg_f = f.bit_length() - 1
-    if f <= 1 or deg_f >= n:
-        raise ValueError("f must be a nontrivial proper divisor of X^n+1")
-    if gf2.rem(gf2.xn1(n), f):
-        raise ValueError(f"{gf2.format_poly(f)} does not divide X^{n}+1")
-    return deg_f
-
-
 def distribution_from_basis(basis, f: int) -> SyndromeDistribution:
     """Exact residue distribution of the uniform measure on a subspace.
 
@@ -316,7 +307,7 @@ def distribution_from_basis(basis, f: int) -> SyndromeDistribution:
 
 def exact_distribution(spec: SubspaceSpec, f: int) -> SyndromeDistribution:
     """Noise-free distribution of (block mod f) over the block subspace."""
-    _validate_modulus(spec.n, f)
+    check_divisor(spec.n, f)
     return distribution_from_basis(build_subspace(spec), f)
 
 
@@ -371,7 +362,7 @@ def theorem1_restricted_uniform_test(code: CyclicCode, n: int, f: int) -> bool:
     """
     if code.is_trivial or code.is_degenerate():
         raise ValueError("test requires a nontrivial non-degenerate code")
-    deg_f = _validate_modulus(n, f)
+    deg_f = check_divisor(n, f)
     if not code.k < n < code.n:
         raise ValueError("test requires k0 < n < n0")
     if deg_f > code.k:
@@ -436,8 +427,12 @@ def _component_class(code: CyclicCode, kind: str, d: int, f: int) -> Distributio
             return DistributionClass.RESTRICTED_UNIFORM
         return DistributionClass.UNIFORM
     # no closed-form rule: rank of the component's residue image
-    rows = _truncated_rows(code, d)
-    rank = len(span_basis(gf2.rem(r, f) for r in rows))
+    return _rank_class((gf2.rem(r, f) for r in _truncated_rows(code, d)), deg_f)
+
+
+def _rank_class(residues, deg_f: int) -> DistributionClass:
+    # a uniform measure's residue image is the span of its basis residues
+    rank = len(span_basis(residues))
     if rank == 0:
         return DistributionClass.DEGENERATE
     if rank == deg_f:
@@ -461,7 +456,7 @@ def predict_class(
     image, not the worst component).
     """
     spec = spec_for_block(code, spec)
-    deg_f = _validate_modulus(spec.n, f)
+    deg_f = check_divisor(spec.n, f)
 
     if isinstance(spec, Truncation):
         return _truncation_class(code, spec.n, f)
@@ -490,13 +485,7 @@ def predict_class(
         return live[0]
     # several restricted components: their subgroups can still sum to the
     # full space, so the class comes from the rank of the combined image
-    res = [gf2.rem(b, f) for b in build_subspace(spec)]
-    rank = len(span_basis(res))
-    if rank == 0:
-        return DistributionClass.DEGENERATE
-    if rank == deg_f:
-        return DistributionClass.UNIFORM
-    return DistributionClass.RESTRICTED_UNIFORM
+    return _rank_class((gf2.rem(b, f) for b in build_subspace(spec)), deg_f)
 
 
 # --- noise -------------------------------------------------------------------

@@ -18,10 +18,10 @@ comparison (ranking by deviation from 1/2 and by spread).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,8 +46,7 @@ def zero_syndrome_stat(blocks: np.ndarray, f: int) -> float:
     """Fraction of blocks whose polynomial is divisible by f."""
     if blocks.shape[0] == 0:
         raise ValueError("no blocks")
-    res = rem_many(blocks_to_polys(blocks), f)
-    return float(np.count_nonzero(res == 0) / res.size)
+    return _zero_frac(blocks_to_polys(blocks), blocks.shape[1], f)
 
 
 def lambda_coeff(n: int, deg_f: int, p: float) -> float:
@@ -123,6 +122,8 @@ def mean_zero_coeff_prob_exact(
     subspace count of orthogonal noise-free blocks with the parity law
     of wt(h_l) independent BSC flips.
     """
+    if not 0.0 <= p <= 0.5:
+        raise ValueError("crossover probability must be in [0, 1/2]")
     spec = spec_for_block(code, block_type)
     n = spec.n
     basis = np.array(build_subspace(spec), dtype=np.uint64)
@@ -156,6 +157,10 @@ def root_divisibility_prob_exact(
     return noisy_zero_mass(base, err)
 
 
+def _zero_frac(polys: np.ndarray, n: int, f: int) -> float:
+    return float(np.count_nonzero(rem_many(polys, f) == 0) / polys.size)
+
+
 def _mean_zero_check_frac(polys: np.ndarray, n: int, f: int) -> float:
     hs = np.array(parity_check_rows(n, f), dtype=np.uint64)
     bits = np.bitwise_count(polys[:, None] & hs[None, :]) & np.uint64(1)
@@ -167,8 +172,7 @@ def empirical_stats(blocks: np.ndarray, f: int) -> dict[str, float]:
     if blocks.shape[0] == 0:
         raise ValueError("no blocks")
     polys = blocks_to_polys(blocks)
-    res = rem_many(polys, f)
-    zero_frac = float(np.count_nonzero(res == 0) / res.size)
+    zero_frac = _zero_frac(polys, blocks.shape[1], f)
     return {
         "zero_syndrome_frac": zero_frac,
         "mean_zero_coeff_frac": _mean_zero_check_frac(polys, blocks.shape[1], f),
@@ -197,27 +201,66 @@ def _candidate_factors(n: int) -> list[int]:
     return [f for f, _ in gf2.factor_xn1(n)]
 
 
+# --- one method: statistic, per-candidate outcome, score of one (n, s) ---------
+
+
+def _tested(stat: float, s: int, m: int, code: CyclicCode, p: float) -> TestOutcome:
+    out = hypothesis_test(stat, m, code, p)
+    out.s = s
+    return out
+
+
+def _untested(stat: float, s: int, m: int, code: CyclicCode, p: float) -> TestOutcome:
+    return TestOutcome(n=code.n, s=s, f=code.g, M=m, stat=stat)
+
+
+def _kl_score(group: list[TestOutcome]) -> tuple[float, int] | None:
+    # accepted factors add M * kl_lb; their product is the generator
+    accepted = [o for o in group if o.decision == "H0"]
+    score = sum(o.M * o.kl_lb for o in accepted)
+    if score <= 0.0:
+        return None
+    return score, functools.reduce(gf2.mul, (o.f for o in accepted), 1)
+
+
+def _deviation_score(group: list[TestOutcome]) -> tuple[float, int]:
+    best = max(group, key=lambda o: abs(o.stat - 0.5))
+    return abs(best.stat - 0.5), best.f
+
+
+def _spread_score(group: list[TestOutcome]) -> tuple[float, int]:
+    top = max(group, key=lambda o: o.stat)
+    return top.stat - min(o.stat for o in group), top.f
+
+
+METHODS = {
+    "zero-syndrome": (_zero_frac, _tested, _kl_score),
+    "factor-entropy": (_mean_zero_check_frac, _untested, _deviation_score),
+    "root-entropy": (_zero_frac, _untested, _spread_score),
+}
+
+
 def reconstruct(
     bits: np.ndarray,
     n_min: int,
     n_max: int,
     p: float,
     method: str = "zero-syndrome",
-    jobs: int | None = None,
 ) -> ReconReport:
     """Search lengths, offsets, and irreducible factors for the sent code.
 
     zero-syndrome: every candidate (n, s, f) with f an irreducible
     factor of X^n+1 is hypothesis-tested; a candidate (n, s) scores the
-    sum of M * kl_lower_bound over its accepted factors, the best score
-    wins (ties to smaller n, then smaller s), and the estimated
-    generator is the product of the accepted factors.  No acceptance
-    anywhere means no code detected.
+    sum of M * kl_lower_bound over its accepted factors, and the
+    estimated generator is the product of the accepted factors.  No
+    acceptance anywhere means no code detected.
 
     factor-entropy / root-entropy: the analogous per-candidate
     statistics are reported for comparison, ranked by largest deviation
     from 1/2 and by largest spread respectively, without a detection
     rule.
+
+    The best score wins, ties to smaller n, then smaller s.
     """
     if n_min < 2:
         raise ValueError("need n_min >= 2")
@@ -225,8 +268,9 @@ def reconstruct(
         raise ValueError("need n_max >= n_min")
     if n_max > WORD_GUARD_N:
         raise GuardError(f"bit-packed blocks need n <= {WORD_GUARD_N}, got n_max={n_max}")
-    if method not in ("zero-syndrome", "factor-entropy", "root-entropy"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    stat_of, outcome_of, score_of = METHODS[method]
     bits = np.asarray(bits, dtype=np.uint8)
     diagnostics: dict = {}
     m_at_nmax = (bits.size - (n_max - 1)) // n_max
@@ -236,19 +280,11 @@ def reconstruct(
         )
 
     outcomes: list[TestOutcome] = []
-    scores: dict[tuple[int, int], float] = {}
-    accepted: dict[tuple[int, int], list[int]] = {}
-    best_stat: dict[tuple[int, int], tuple[float, int]] = {}
-    spread_lo: dict[tuple[int, int], float] = {}
-    spread_hi: dict[tuple[int, int], float] = {}
-
+    ranked: list[tuple[float, int, int, int]] = []  # (-score, n, s, generator)
     # zero bits past the end give every offset's last block a following aligned word
     padded = np.concatenate([bits, np.zeros(n_max, dtype=np.uint8)])
-
-    def eval_length(n: int) -> list[TestOutcome]:
-        rows = []
-        factors = _candidate_factors(n)
-        codes = {f: CyclicCode(n, f) for f in factors}
+    for n in range(n_min, n_max + 1):
+        codes = [CyclicCode(n, f) for f in _candidate_factors(n)]
         # every offset's blocks come from the blocks at offset 0, packed once
         aligned = blocks_to_polys(segment(padded[: bits.size + n], n, 0))
         words = np.empty(aligned.size - 1, dtype=np.uint64)
@@ -257,64 +293,19 @@ def reconstruct(
             if m <= 0:
                 continue
             polys = offset_words(aligned, n, s, words[:m])
-            for f in factors:
-                if method == "factor-entropy":
-                    stat = _mean_zero_check_frac(polys, n, f)
-                    out = TestOutcome(n=n, s=s, f=f, M=m, stat=stat)
-                else:
-                    stat = float(np.count_nonzero(rem_many(polys, f) == 0) / m)
-                    if method == "zero-syndrome":
-                        out = hypothesis_test(stat, m, codes[f], p)
-                        out.s = s
-                    else:  # root-entropy
-                        out = TestOutcome(n=n, s=s, f=f, M=m, stat=stat)
-                rows.append(out)
-        return rows
-
-    lengths = range(n_min, n_max + 1)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_length = list(pool.map(eval_length, lengths))
-    else:
-        per_length = [eval_length(n) for n in lengths]
-
-    for out in (o for rows in per_length for o in rows):
-        outcomes.append(out)
-        n, s, key = out.n, out.s, (out.n, out.s)
-        if method == "zero-syndrome":
-            if out.decision == "H0":
-                scores[key] = scores.get(key, 0.0) + out.M * out.kl_lb
-                accepted.setdefault(key, []).append(out.f)
-        elif method == "factor-entropy":
-            dev = abs(out.stat - 0.5)
-            if dev > scores.get(key, -1.0):
-                scores[key] = dev
-                best_stat[key] = (out.stat, out.f)
-        else:  # root-entropy
-            spread_lo[key] = min(spread_lo.get(key, 2.0), out.stat)
-            spread_hi[key] = max(spread_hi.get(key, -1.0), out.stat)
-            if key not in best_stat or out.stat > best_stat[key][0]:
-                best_stat[key] = (out.stat, out.f)
-
-    if method == "root-entropy":
-        scores = {k: spread_hi[k] - spread_lo[k] for k in spread_hi}
+            group = [outcome_of(stat_of(polys, n, c.g), s, m, c, p) for c in codes]
+            outcomes.extend(group)
+            scored = score_of(group)
+            if scored is not None:
+                ranked.append((-scored[0], n, s, scored[1]))
 
     winner = None
-    if scores:
-        (n, s), top = min(
-            scores.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1])
-        )
-        if method == "zero-syndrome":
-            if top > 0.0:
-                g = 1
-                for f in accepted[(n, s)]:
-                    g = gf2.mul(g, f)
-                winner = (n, s, g)
-                accepting = sorted({key[0] for key in accepted})
-                if len(accepting) > 1:
-                    diagnostics["accepting_lengths"] = accepting
-        else:
-            winner = (n, s, best_stat[(n, s)][1])
+    if ranked:
+        _, n, s, g = min(ranked)
+        winner = (n, s, g)
+        accepting = sorted({o.n for o in outcomes if o.decision == "H0"})
+        if len(accepting) > 1:
+            diagnostics["accepting_lengths"] = accepting
     diagnostics["blocks_at_winner"] = (
         segment(bits, winner[0], winner[1]).shape[0] if winner else 0
     )
@@ -333,22 +324,7 @@ def render_report(report: ReconReport, machine: bool = False) -> str:
     lines = []
     if machine:
         for o in report.outcomes:
-            lines.append(
-                json.dumps(
-                    {
-                        "n": o.n,
-                        "s": o.s,
-                        "f": gf2.format_poly_bits(o.f),
-                        "M": o.M,
-                        "stat": o.stat,
-                        "p0": o.p0,
-                        "bound": o.bound,
-                        "tau": o.tau,
-                        "decision": o.decision,
-                        "kl_lb": o.kl_lb,
-                    }
-                )
-            )
+            lines.append(json.dumps({**asdict(o), "f": gf2.format_poly_bits(o.f)}))
         lines.append(
             json.dumps(
                 {

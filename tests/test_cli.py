@@ -64,6 +64,14 @@ def test_dist_noisy_matches_noise_free_at_p0(capsys):
     assert clean == with_p0
 
 
+def test_dist_refuses_p_outside_range(capsys):
+    args = ["dist", "--n0", "7", "--g0", "x3+x+1", "--trunc", "6", "--f", "x+1"]
+    for p in ("-0.1", "nan", "0.7"):
+        code, out, err = run(capsys, *args, "--p", p)
+        assert code == 1, p
+        assert "[0, 1/2]" in err and out == ""
+
+
 def test_gen_and_reconstruct_roundtrip(tmp_path, capsys):
     stream = tmp_path / "s.txt"
     code, out, _ = run(
@@ -145,6 +153,10 @@ def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("012")
     assert main(["reconstruct", "--in", str(bad), "--n-max", "5"]) == 1
+    # reconstruct runs serially and has no --jobs
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--in", str(bad), "--n-max", "5", "--jobs", "2"])
+    assert exc.value.code == 1
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -106,6 +107,13 @@ def test_table_values_mean_zero_check():
         for p, v in zip((0.0, 0.01, 0.05), vals):
             got = mean_zero_coeff_prob_exact(code, bt, P(text), p)
             assert abs(got - v) < 5e-4, (text, p, got)
+
+
+def test_mean_zero_check_refuses_p_outside_range():
+    # formerly 1.1912, 0.5085 and 5.83 came back for these
+    for p in (-0.1, 0.7, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"\[0, 1/2\]"):
+            mean_zero_coeff_prob_exact(hamming7(), Boundary(6, 0, 1), P("x^3+x+1"), p)
 
 
 def test_mean_zero_check_is_half_below_true_length():
@@ -262,3 +270,93 @@ def test_render_report():
     assert {"n", "s", "f", "M", "stat", "p0", "bound", "tau", "decision", "kl_lb"} <= set(
         records[0]
     )
+
+
+def _pinned_streams():
+    h7 = hamming7()
+    bch15 = CyclicCode(15, gf2.mul(P("x^4+x+1"), P("x^4+x^3+x^2+x+1")))
+    coin = np.random.Generator(np.random.Philox(17)).integers(0, 2, size=3000, dtype=np.uint8)
+    return {
+        "hamming7_noisy": (generate_stream(StreamConfig(h7, 2, 0.02, 400, seed=8)), 3, 10, 0.02),
+        "hamming7_p0": (generate_stream(StreamConfig(h7, 1, 0.0, 150, seed=2)), 3, 9, 0.0),
+        # 6 blocks at n = 10: warns, and several lengths accept
+        "hamming7_short": (generate_stream(StreamConfig(h7, 0, 0.02, 10, seed=1)), 3, 10, 0.02),
+        "bch15_noisy": (generate_stream(StreamConfig(bch15, 4, 0.01, 200, seed=5)), 12, 16, 0.01),
+        "coin": (coin, 3, 9, 0.02),
+    }
+
+
+# SHA-256 of render_report(text), render_report(machine=True) per (stream, method)
+_PINNED_REPORTS = {
+    ("hamming7_noisy", "zero-syndrome"): (
+        "a8cd8df27590fb43e36244ef6a44be623e444d0da6abfda0fb8a318a3811d3c3",
+        "c342f1caf1bbe90d1db83f44ee4da1d486d4921969203df68a7b49e8782c630e",
+    ),
+    ("hamming7_noisy", "factor-entropy"): (
+        "e5ad15a6ad00b22eb4782dcb060652c6f7b9ebc72a2fdf30dc11d20fc846be0c",
+        "db93aae8b2b6d35387c7210183306b4635de6bef54d991818a1710e3502a3b86",
+    ),
+    ("hamming7_noisy", "root-entropy"): (
+        "9a8910dcd9b931cff23f5a7db6e1245994da623b25f1f268b6dcba8617561039",
+        "0daf6736278463347d209be660d81c7a489bb94e2a53e9ad981a35c16e52e1ea",
+    ),
+    ("hamming7_p0", "zero-syndrome"): (
+        "2c5ff8055d4cd6cb6d10366e886a4a697f4223339b87a8b55fa47159e98773c5",
+        "f0e7e7458634a4cf11799b8bd94082dd94a5804bb58e53a53a72a532a737eb59",
+    ),
+    ("hamming7_p0", "factor-entropy"): (
+        "a5a017bfb53add23401c814b3332ddeafb593e2c2a4aa35cf6fa5143c5075193",
+        "bf9b896eb18c4fd82aa4346addd81163f4db2c847808099dae4585378f5b4547",
+    ),
+    ("hamming7_p0", "root-entropy"): (
+        "76cebdaba3205a194de8bbbee7db1e98fbcdb6e0875ddaed21da0a8028abca1d",
+        "4eb42cbd0e0a065d355832ef6452f1d1b13d4e46b8a91a8cd2e8cbc3855dc3db",
+    ),
+    ("hamming7_short", "zero-syndrome"): (
+        "e10818d433b9c369a900e56e219bf8da1ed5fb216b4e2d64d48772a1bc63d545",
+        "3c9480e8afe1983f68752788b32df15eb3205c96f707c798931226b3298c01d0",
+    ),
+    ("hamming7_short", "factor-entropy"): (
+        "9ee0028f04cb0d2fb7757eef31c59b6050e21836d40e7c602f08350e28d0c9f8",
+        "d2a3c82887d88b05c03c2bda962e1500c1411bff57d46021fcf63685fc83a1d4",
+    ),
+    ("hamming7_short", "root-entropy"): (
+        "5bf5a2c1b274e526106702e726577c862c3e0a8e32b6021bfcd672dc333f4967",
+        "24c88e6429ab0432cc39f91f8b5f6bbdd1e8dcc831cfbdd33858530e9d01e908",
+    ),
+    ("bch15_noisy", "zero-syndrome"): (
+        "50a710cbbea7518e2787cc68e5365b905053fabb244046addb2f7d35d7fdd2ef",
+        "2b565aa5461c4bd4ce0b257dfa6619e3d12cdf07d3fa445fd85349a58762af15",
+    ),
+    ("bch15_noisy", "factor-entropy"): (
+        "f1ad83f2d3ca5915f347c69938cd61b016ddea1ba40dd7a3569144da56b48da8",
+        "eea83e3efc92acb258edbf2d356d9f89cd4a717370cd63096d555af0d7aed5b3",
+    ),
+    ("bch15_noisy", "root-entropy"): (
+        "8286a70d4b6eba6891415dd644a50b064b0d88807cfed3e1561e1c5754cfed90",
+        "79fa564013b0591055e6b0ad47b3326e6c16548beb435cc37f7385b0914924cf",
+    ),
+    ("coin", "zero-syndrome"): (
+        "8daa62e47b1e638f4ace2370c98fd8724272310abaafb6ab4412f8cf14559045",
+        "cd85007e7d459ddf050c41eec8018e62240839921f0f50dbb13b34d9184b075f",
+    ),
+    ("coin", "factor-entropy"): (
+        "32dee3e9aa939c811a8f72e8965c364e0d0f9b9bcb6d99b1d1cdd3430128a67c",
+        "3debd366e435228a235bcdc14f15c47bf6faabdd21caee7b6d5b7dbafe1d244b",
+    ),
+    ("coin", "root-entropy"): (
+        "9fc44dc061e79fabab63b05d66b5b88b9143a92eca8f9cd3db7e20e26995c847",
+        "73832bd4e1348b68b12bb000d2d7c31e4343f1dc67c4dc46bb06bd418e67ed27",
+    ),
+}
+
+
+def test_reports_pinned_for_every_method():
+    for name, (bits, lo, hi, p) in _pinned_streams().items():
+        for method in ("zero-syndrome", "factor-entropy", "root-entropy"):
+            rep = reconstruct(bits, lo, hi, p, method=method)
+            got = tuple(
+                hashlib.sha256(render_report(rep, machine=m).encode()).hexdigest()
+                for m in (False, True)
+            )
+            assert got == _PINNED_REPORTS[(name, method)], (name, method)
