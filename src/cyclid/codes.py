@@ -136,8 +136,7 @@ class CyclicCode:
         most 2^min(k, n-k) words are enumerated.  p = 1/2 is allowed for
         the analytic limit 2^(k-n).
         """
-        if not 0.0 <= p <= 0.5:
-            raise ValueError("crossover probability must be in [0, 1/2]")
+        check_crossover(p)
         n, k = self.n, self.k
         if min(k, n - k) > ENUM_GUARD_K or n > WORD_GUARD_N:
             raise GuardError(
@@ -162,8 +161,14 @@ def check_divisor(n: int, f: int) -> int:
     return deg_f
 
 
-def parity_check_rows(n: int, f: int) -> list[int]:
-    """Rows X^l * f_dual of the standard parity-check matrix of C(n, f).
+def check_crossover(p: float) -> None:
+    """Refuse a BSC crossover probability outside [0, 1/2], NaN included."""
+    if not 0.0 <= p <= 0.5:
+        raise ValueError("crossover probability must be in [0, 1/2]")
+
+
+def parity_check_rows(code: CyclicCode) -> list[int]:
+    """Rows X^l * g_dual of the standard parity-check matrix of a code.
 
     Like the syndrome coefficient vectors these span the dual code, but
     coefficient l of the checked word is the inner product with the
@@ -172,11 +177,9 @@ def parity_check_rows(n: int, f: int) -> list[int]:
     assumed lengths holds for these rows and not for the coefficient
     basis.
     """
-    deg_f = f.bit_length() - 1
-    if f <= 1 or deg_f >= n:
-        raise ValueError("f must be a nontrivial proper divisor of X^n+1")
-    g_dual = CyclicCode(n, f).g_dual
-    return [g_dual << l for l in range(deg_f)]
+    if code.is_trivial:
+        raise ValueError("parity checks need a nontrivial code")
+    return [code.g_dual << l for l in range(code.n - code.k)]
 
 
 def syndrome_basis(n: int, f: int) -> list[int]:

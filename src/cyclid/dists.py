@@ -41,7 +41,7 @@ from ._kernels import (
     subspace_elements,
     xor_convolve,
 )
-from .codes import CyclicCode, GuardError, check_divisor, span_basis
+from .codes import CyclicCode, GuardError, check_crossover, check_divisor, span_basis
 
 DIM_GUARD = 24  # subspace enumeration cap: 2^24 elements
 SPAN_GUARD_N = 24  # block length cap for subspace models
@@ -509,11 +509,10 @@ def error_residue_distribution(n: int, f: int, p: float) -> SyndromeDistribution
     Dynamic programming over positions: each step mixes "flip X^i mod f"
     with probability p; O(n * 2^deg f) with the deg f <= 20 guard.
     """
+    check_crossover(p)
     deg_f = f.bit_length() - 1
     if not 1 <= deg_f <= DEGF_DP_GUARD:
         raise GuardError(f"error DP needs 1 <= deg f <= {DEGF_DP_GUARD}, got {deg_f}")
-    if not 0.0 <= p <= 0.5:
-        raise ValueError("crossover probability must be in [0, 1/2]")
     dense = _error_dp_cached(n, f, p)[0]
     support = np.nonzero(dense)[0].astype(np.uint64)
     return SyndromeDistribution(
@@ -527,6 +526,7 @@ def noisy_distribution(spec: SubspaceSpec, f: int, p: float) -> SyndromeDistribu
     Convolution is over the additive residue group (XOR); p = 0 returns
     the exact noise-free distribution unchanged.
     """
+    check_crossover(p)
     base = exact_distribution(spec, f)
     if p == 0.0:
         return base

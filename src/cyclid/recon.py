@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gf2
 from ._kernels import ortho_zero_count, rem_many
-from .codes import WORD_GUARD_N, CyclicCode, GuardError, parity_check_rows
+from .codes import WORD_GUARD_N, CyclicCode, GuardError, check_crossover, parity_check_rows
 from .dists import (
     BlockType,
     SubspaceSpec,
@@ -46,7 +46,7 @@ def zero_syndrome_stat(blocks: np.ndarray, f: int) -> float:
     """Fraction of blocks whose polynomial is divisible by f."""
     if blocks.shape[0] == 0:
         raise ValueError("no blocks")
-    return _zero_frac(blocks_to_polys(blocks), blocks.shape[1], f)
+    return _zero_frac(blocks_to_polys(blocks), f)
 
 
 def lambda_coeff(n: int, deg_f: int, p: float) -> float:
@@ -122,15 +122,14 @@ def mean_zero_coeff_prob_exact(
     subspace count of orthogonal noise-free blocks with the parity law
     of wt(h_l) independent BSC flips.
     """
-    if not 0.0 <= p <= 0.5:
-        raise ValueError("crossover probability must be in [0, 1/2]")
+    check_crossover(p)
     spec = spec_for_block(code, block_type)
     n = spec.n
     basis = np.array(build_subspace(spec), dtype=np.uint64)
     dim = basis.size
     total = float(1 << dim)
     acc = 0.0
-    hs = parity_check_rows(n, f)
+    hs = parity_check_rows(CyclicCode(n, f))
     for h in hs:
         a = ortho_zero_count(basis, h) / total
         b = (1.0 - (1.0 - 2.0 * p) ** int.bit_count(h)) / 2.0
@@ -157,12 +156,16 @@ def root_divisibility_prob_exact(
     return noisy_zero_mass(base, err)
 
 
-def _zero_frac(polys: np.ndarray, n: int, f: int) -> float:
+def _zero_frac(polys: np.ndarray, f: int) -> float:
     return float(np.count_nonzero(rem_many(polys, f) == 0) / polys.size)
 
 
-def _mean_zero_check_frac(polys: np.ndarray, n: int, f: int) -> float:
-    hs = np.array(parity_check_rows(n, f), dtype=np.uint64)
+def _code_zero_frac(polys: np.ndarray, code: CyclicCode) -> float:
+    return _zero_frac(polys, code.g)
+
+
+def _mean_zero_check_frac(polys: np.ndarray, code: CyclicCode) -> float:
+    hs = np.array(parity_check_rows(code), dtype=np.uint64)
     bits = np.bitwise_count(polys[:, None] & hs[None, :]) & np.uint64(1)
     return float(np.count_nonzero(bits == 0) / bits.size)
 
@@ -172,10 +175,10 @@ def empirical_stats(blocks: np.ndarray, f: int) -> dict[str, float]:
     if blocks.shape[0] == 0:
         raise ValueError("no blocks")
     polys = blocks_to_polys(blocks)
-    zero_frac = _zero_frac(polys, blocks.shape[1], f)
+    zero_frac = _zero_frac(polys, f)
     return {
         "zero_syndrome_frac": zero_frac,
-        "mean_zero_coeff_frac": _mean_zero_check_frac(polys, blocks.shape[1], f),
+        "mean_zero_coeff_frac": _mean_zero_check_frac(polys, CyclicCode(blocks.shape[1], f)),
         "divisibility_frac": zero_frac,
     }
 
@@ -234,9 +237,9 @@ def _spread_score(group: list[TestOutcome]) -> tuple[float, int]:
 
 
 METHODS = {
-    "zero-syndrome": (_zero_frac, _tested, _kl_score),
+    "zero-syndrome": (_code_zero_frac, _tested, _kl_score),
     "factor-entropy": (_mean_zero_check_frac, _untested, _deviation_score),
-    "root-entropy": (_zero_frac, _untested, _spread_score),
+    "root-entropy": (_code_zero_frac, _untested, _spread_score),
 }
 
 
@@ -293,7 +296,7 @@ def reconstruct(
             if m <= 0:
                 continue
             polys = offset_words(aligned, n, s, words[:m])
-            group = [outcome_of(stat_of(polys, n, c.g), s, m, c, p) for c in codes]
+            group = [outcome_of(stat_of(polys, c), s, m, c, p) for c in codes]
             outcomes.extend(group)
             scored = score_of(group)
             if scored is not None:

@@ -10,16 +10,21 @@ The heavy noise-free/noisy distribution sweep is organized in rows of
 the assumed block length n so that the error-residue dynamic programs
 are computed once per (n, f, p) and shared across codes and
 subspaces, and every basis word of a (n, n0) row is reduced modulo f
-in one call.  Rows run serially: Python code between short numpy
-calls holds the GIL for most of a row, so a thread pool measured
-slower than a serial run.  The ``jobs`` keywords are accepted and
-ignored.
+in one call.  A uniform measure on a subspace is uniform on its residue
+image, so its class, noisy zero mass and eq-23 spread depend on the
+image alone: a row keeps one record per distinct image per (n0, f), and
+every spec instance and boundary component looks its image up there.  The
+checks themselves, and their counts, stay per instance.  Rows run
+serially: Python code between short numpy calls holds the GIL for most
+of a row, so a thread pool measured slower than a serial run.  The
+``jobs`` keywords are accepted and ignored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -97,10 +102,12 @@ def _distinct_specs(code: CyclicCode, n: int) -> list:
 
 
 def _spec_bases(code: CyclicCode, n: int, with_components: bool) -> list:
-    """(spec, basis, component bases) for each spec of (code, n) within the guards.
+    """(spec, basis, component sizes) for each spec of (code, n) within the guards.
 
     Truncations come first, so a row sees a code's truncation class
-    before its spans.  Component bases are None unless asked for.
+    before its spans.  ``build_subspace`` concatenates a span's
+    component bases, so the sizes cut its basis into them; they are
+    None unless asked for.
     """
     out = []
     for spec in sorted(_distinct_specs(code, n), key=lambda sp: isinstance(sp, BoundarySpan)):
@@ -110,9 +117,25 @@ def _spec_bases(code: CyclicCode, n: int, with_components: bool) -> list:
             continue
         comps = None
         if with_components and isinstance(spec, BoundarySpan):
-            comps = boundary_components(spec)
+            comps = [len(comp) for comp in boundary_components(spec)]
         out.append((spec, basis, comps))
     return out
+
+
+def _image_record(memo: dict, image: tuple, f: int, check_noisy=None) -> tuple:
+    """(class, per-p noisy figures) of one residue image, decided once per memo.
+
+    A uniform measure on a subspace is uniform on its residue image, so
+    the class and the noisy masses depend on the image alone.  Component
+    lookups pass no ``check_noisy`` and get no noisy figures; a spec
+    lookup fills them in, so the noisy-uniform check runs on spec images
+    only.
+    """
+    rec = memo.get(image)
+    if rec is None or (check_noisy and rec[1] is None):
+        dist = distribution_from_basis(list(image), f)
+        rec = memo[image] = (dist.kind, check_noisy(dist) if check_noisy else None)
+    return rec
 
 
 def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: bool):
@@ -146,21 +169,28 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
         ends = np.cumsum([len(basis) for basis in bases])[:-1]
         for f in divisors:
             deg_f = f.bit_length() - 1
-            err_dense = {}
+            # p -> (error residue masses, subgroup-coset bound on the zero mass)
+            noise = {}
             if with_noise and deg_f <= 20:
                 for p in p_list:
-                    err_dense[p] = _error_dp_cached(n, f, p)[0]
+                    dense = _error_dp_cached(n, f, p)[0]
+                    noise[p] = (dense, float(dense[0]) * (lambda_coeff(n, deg_f, p) + 1.0) / 2.0)
+            check_noisy = partial(_check_noisy, res, n, noise, uniform_verified) if noise else None
+            # residue image -> record for the codes of this (n0, f); dropped
+            # with it, so the row holds one f's records at a time
+            memo: dict = {}
             # the residues of every spec basis of the row, in spec order
             residues = iter(np.split(rem_many(words, f), ends))
             for code, spec_bases in code_specs:
                 trunc_kind = None
-                comp_memo: dict = {}
                 for spec, _, comps in spec_bases:
+                    words_mod_f = next(residues).tolist()
                     try:
-                        dist = distribution_from_basis(next(residues), f)
+                        kind, noisy = _image_record(
+                            memo, tuple(span_basis(words_mod_f)), f, check_noisy
+                        )
                     except GuardError:
                         continue
-                    kind = dist.kind
                     pred = predict_class(code, spec, f)
                     res["cross_validation"].checked += 1
                     if kind is not pred:
@@ -192,38 +222,43 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
                         if kind is not DistributionClass.UNIFORM:
                             res["theorem2"].failures.append((n0, code.g, n, spec, f))
                     if comps is not None:
-                        _check_theorem3(res["theorem3"], code, spec, f, kind, comps, comp_memo)
-                    if with_noise and deg_f <= 20:
-                        _check_noisy(
-                            res, spec, dist, f, p_list, err_dense, correct, uniform_verified
+                        _check_theorem3(
+                            res["theorem3"], code, spec, f, kind, words_mod_f, comps, memo
                         )
+                    for (p, (_, bound)), (zero, spread) in zip(noise.items(), noisy or ()):
+                        if not correct:
+                            res["theorem5_bound"].checked += 1
+                            if zero > bound + 1e-12:
+                                res["theorem5_bound"].failures.append((spec, f, p, zero, bound))
+                        if spread is not None:
+                            # noisy masses on the noise-free support stay pairwise equal
+                            res["eq23_support"].checked += 1
+                            if spread > 1e-12:
+                                res["eq23_support"].failures.append((spec, f, p))
     return res
 
 
-def _check_theorem3(result, code, spec, f, kind, comps, memo):
+def _check_theorem3(result, code, spec, f, kind, words_mod_f, comps, memo):
     """Component classes (each separately enumerated) against the composite.
 
-    The provable direction is that all-uniform components (after
-    dropping degenerate ones) give a uniform composite.  The literal
-    converse -- any restricted component forces a restricted composite --
-    fails exactly when the component image subgroups sum to the full
-    residue space, so the expected class always comes from the rank of
-    the combined supports; violations of the literal converse are
-    counted as a note.
+    The span's reduced basis words are its components' in turn, cut by
+    the sizes ``comps``.  The provable direction is that all-uniform
+    components (after dropping degenerate ones) give a uniform
+    composite.  The literal converse -- any restricted component forces
+    a restricted composite -- fails exactly when the component image
+    subgroups sum to the full residue space, so the expected class
+    always comes from the rank of the combined supports; violations of
+    the literal converse are counted as a note.
     """
     deg_f = f.bit_length() - 1
     classes = []
     gens: list[int] = []
-    for comp in comps:
-        key = tuple(comp)
-        if key not in memo:
-            cd = distribution_from_basis(comp, f)
-            size = cd.support_size()
-            cgens = [int(cd.residues[1 << j]) for j in range(size.bit_length() - 1)]
-            memo[key] = (cd.kind, cgens)
-        ckind, cgens = memo[key]
-        classes.append(ckind)
-        gens.extend(cgens)
+    start = 0
+    for size in comps:
+        image = tuple(span_basis(words_mod_f[start : start + size]))
+        start += size
+        classes.append(_image_record(memo, image, f)[0])
+        gens.extend(image)
     live = [c for c in classes if c is not DistributionClass.DEGENERATE]
     rank = len(span_basis(gens))
     if rank == 0:
@@ -247,9 +282,15 @@ def _check_theorem3(result, code, spec, f, kind, comps, memo):
         )
 
 
-def _check_noisy(res, spec, dist, f, p_list, err_dense, correct, uniform_verified):
-    deg_f = f.bit_length() - 1
-    n = spec.n
+def _check_noisy(res, n, noise, uniform_verified, dist) -> list:
+    """(noisy zero mass, eq-23 spread or None) of one noise-free law, per p.
+
+    The eq-23 spread is taken on restricted supports of at most 256
+    points.  A uniform law is also checked to stay uniform under noise,
+    once per (n, f, p), since every uniform base is the same
+    distribution.
+    """
+    f, deg_f = dist.f, dist.deg_f
     sup = dist.residues.astype(np.intp)
     # eq. 23 gathers the noisy mass at every support point in one go:
     # shifts[i, j] = sup[i] ^ sup[j], at most 256 x 256 indices
@@ -259,21 +300,12 @@ def _check_noisy(res, spec, dist, f, p_list, err_dense, correct, uniform_verifie
         and dist.support_size() <= _EQ23_SUPPORT_CAP
     ):
         shifts = np.bitwise_xor.outer(sup, sup)
-    for p in p_list:
-        dense = err_dense[p]
+    out = []
+    for p, (dense, _) in noise.items():
         zero = float(np.dot(dist.probs, dense[sup]))
-        if not correct:
-            # subgroup-coset bound on the zero-syndrome probability
-            lam = lambda_coeff(n, deg_f, p)
-            bound = float(dense[0]) * (lam + 1.0) / 2.0
-            res["theorem5_bound"].checked += 1
-            if zero > bound + 1e-12:
-                res["theorem5_bound"].failures.append(
-                    (spec, f, p, zero, bound)
-                )
+        spread = None if shifts is None else float(np.ptp(dist.probs @ dense[shifts]))
+        out.append((zero, spread))
         if dist.kind is DistributionClass.UNIFORM and (f, p) not in uniform_verified:
-            # uniform in, uniform out: one (n, f, p) instance covers all,
-            # since every uniform base is the same distribution
             uniform_verified.add((f, p))
             noisy = SyndromeDistribution(
                 f,
@@ -283,12 +315,7 @@ def _check_noisy(res, spec, dist, f, p_list, err_dense, correct, uniform_verifie
             res["noisy_uniform"].checked += 1
             if noisy.kind is not DistributionClass.UNIFORM:
                 res["noisy_uniform"].failures.append((n, f, p, str(noisy.kind)))
-        if shifts is not None:
-            # noisy masses on the noise-free support stay pairwise equal
-            masses = dist.probs @ dense[shifts]
-            res["eq23_support"].checked += 1
-            if np.ptp(masses) > 1e-12:
-                res["eq23_support"].failures.append((spec, f, p))
+    return out
 
 
 def run_distribution_sweeps(

@@ -165,6 +165,8 @@ def test_criterion_4_cross_validation(big_sweep):
         and prop.ok
         and cv.checked > 100_000
         and cv.checked == 121_865
+        and prop.checked == 121_865
+        and big_sweep["theorem2"].checked == 15_738
         and degenerate == expected
         and len(expected) == 139
         and big_sweep["elapsed"] < 600.0
@@ -188,6 +190,7 @@ def test_criterion_5_noisy_sweep(big_sweep):
         and uni.checked > 500
         and bound.checked == 365_178
         and uni.checked == 1_023
+        and big_sweep["eq23_support"].checked == 39_672
     )
     report(
         5,

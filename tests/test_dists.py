@@ -316,6 +316,19 @@ def test_error_residue_distribution():
         error_residue_distribution(24, gf2.xn1(21) ^ 1 ^ (1 << 21), 0.01)
 
 
+def test_noisy_distribution_checks_p_before_the_law():
+    # deg f = 21 is over the tally guard, so a p error must come first
+    spec = BoundarySpan(CyclicCode(11, P("x+1")), 0, 2, 0)
+    f = gf2.div(gf2.xn1(22), P("x+1"))
+    for p in (-0.1, float("nan"), 0.7):
+        with pytest.raises(ValueError, match="crossover"):
+            noisy_distribution(spec, f, p)
+        with pytest.raises(ValueError, match="crossover"):
+            error_residue_distribution(22, f, p)
+    with pytest.raises(GuardError, match="deg f <= 20"):
+        noisy_distribution(spec, f, 0.05)
+
+
 def test_noisy_distribution_p0_is_exact():
     spec = Truncation(fig4_code(), 10)
     f = P("x^4+x^3+x^2+x+1")

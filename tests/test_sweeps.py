@@ -1,6 +1,6 @@
 import pytest
 
-from cyclid import gf2
+from cyclid import gf2, sweeps
 from cyclid.dists import _error_dp_cached
 from cyclid.sweeps import (
     _sweep_n_row,
@@ -60,6 +60,44 @@ def test_noisy_checks_n0_7(n0_7_sweeps):
     for name, checked in totals.items():
         assert n0_7_sweeps[name].ok
         assert n0_7_sweeps[name].checked == checked
+
+
+def test_rows_16_17_totals(monkeypatch):
+    # the benchmark's sweep rows: every instance is still checked once, and
+    # the 8400 instances have 1410 distinct (n, n0, f, residue image), each
+    # built into a distribution once
+    builds = []
+    build = sweeps.distribution_from_basis
+    monkeypatch.setattr(sweeps, "distribution_from_basis", lambda *a: builds.append(1) or build(*a))
+    res = run_distribution_sweeps(
+        n0_list=(7, 15), p_list=(0.01, 0.05, 0.1), with_components=False, n_range=(16, 17)
+    )
+    totals = {
+        "cross_validation": 8400,
+        "proposition1": 8400,
+        "theorem2": 0,
+        "theorem3": 0,
+        "noisy_uniform": 63,
+        "theorem5_bound": 25200,
+        "eq23_support": 3033,
+    }
+    assert {name: r.checked for name, r in res.items()} == totals
+    assert all(r.ok for r in res.values())
+    assert len(builds) == 1410
+
+
+def test_components_add_no_noisy_work(monkeypatch):
+    # noisy figures are computed once per distinct spec image of an (n0, f);
+    # component images are classified but never get noisy figures
+    calls = []
+    check_noisy = sweeps._check_noisy
+    monkeypatch.setattr(sweeps, "_check_noisy", lambda *a: calls.append(1) or check_noisy(*a))
+    counts = []
+    for with_components in (False, True):
+        calls.clear()
+        run_distribution_sweeps(n0_list=(7,), with_components=with_components, n_range=(8, 12))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_guarded_row_builds_no_error_dp():
