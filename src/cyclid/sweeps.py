@@ -125,10 +125,8 @@ def _spec_bases(code: CyclicCode, n: int, with_components: bool) -> list:
 def _image_record(memo: dict, image: tuple, f: int, check_noisy=None) -> tuple:
     """(class, per-p noisy figures) of one residue image, decided once per memo.
 
-    A uniform measure on a subspace is uniform on its residue image, so
-    the class and the noisy masses depend on the image alone.  Component
-    lookups pass no ``check_noisy`` and get no noisy figures; a spec
-    lookup fills them in, so the noisy-uniform check runs on spec images
+    Component lookups pass no ``check_noisy`` and get no noisy figures; a
+    spec lookup fills them in, so the noisy-uniform check sees spec images
     only.
     """
     rec = memo.get(image)
@@ -185,10 +183,9 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
                 trunc_kind = None
                 for spec, _, comps in spec_bases:
                     words_mod_f = next(residues).tolist()
+                    image = tuple(span_basis(words_mod_f))
                     try:
-                        kind, noisy = _image_record(
-                            memo, tuple(span_basis(words_mod_f)), f, check_noisy
-                        )
+                        kind, noisy = _image_record(memo, image, f, check_noisy)
                     except GuardError:
                         continue
                     pred = predict_class(code, spec, f)
@@ -283,12 +280,9 @@ def _check_theorem3(result, code, spec, f, kind, words_mod_f, comps, memo):
 
 
 def _check_noisy(res, n, noise, uniform_verified, dist) -> list:
-    """(noisy zero mass, eq-23 spread or None) of one noise-free law, per p.
-
-    The eq-23 spread is taken on restricted supports of at most 256
-    points.  A uniform law is also checked to stay uniform under noise,
-    once per (n, f, p), since every uniform base is the same
-    distribution.
+    """Per p, the noisy zero mass and the eq-23 spread (restricted supports
+    of at most 256 points, else None) of a noise-free law.  A uniform law
+    must stay uniform: once per (n, f, p), as all uniform laws are equal.
     """
     f, deg_f = dist.f, dist.deg_f
     sup = dist.residues.astype(np.intp)

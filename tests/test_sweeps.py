@@ -62,16 +62,21 @@ def test_noisy_checks_n0_7(n0_7_sweeps):
         assert n0_7_sweeps[name].checked == checked
 
 
-def test_rows_16_17_totals(monkeypatch):
-    # the benchmark's sweep rows: every instance is still checked once, and
-    # the 8400 instances have 1410 distinct (n, n0, f, residue image), each
-    # built into a distribution once
+@pytest.fixture(scope="module")
+def rows_16_17():
+    # the benchmark's sweep rows, counting the distributions they build
     builds = []
     build = sweeps.distribution_from_basis
-    monkeypatch.setattr(sweeps, "distribution_from_basis", lambda *a: builds.append(1) or build(*a))
-    res = run_distribution_sweeps(
-        n0_list=(7, 15), p_list=(0.01, 0.05, 0.1), with_components=False, n_range=(16, 17)
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweeps, "distribution_from_basis", lambda *a: builds.append(1) or build(*a))
+        res = run_distribution_sweeps(
+            n0_list=(7, 15), p_list=(0.01, 0.05, 0.1), with_components=False, n_range=(16, 17)
+        )
+    return res, len(builds)
+
+
+def test_rows_16_17_totals(rows_16_17):
+    res, _ = rows_16_17
     totals = {
         "cross_validation": 8400,
         "proposition1": 8400,
@@ -83,7 +88,11 @@ def test_rows_16_17_totals(monkeypatch):
     }
     assert {name: r.checked for name, r in res.items()} == totals
     assert all(r.ok for r in res.values())
-    assert len(builds) == 1410
+
+
+def test_rows_16_17_build_each_image_once(rows_16_17):
+    # the 8400 instances have 1410 distinct (n, n0, f, residue image)
+    assert rows_16_17[1] == 1410
 
 
 def test_components_add_no_noisy_work(monkeypatch):
