@@ -1,9 +1,10 @@
 """Hot numeric kernels in numpy.
 
 Every span enumeration goes through ``subspace_elements``: the residue
-tally, the weight distribution and the orthogonal count are one
-``bincount`` or one parity count over its output, and the 11-bit lookup
-tables of ``rem_many`` are spans of residues X^i mod f.  Block residues
+tally and the weight distribution are one ``bincount`` over its output,
+the orthogonal counts are one parity count per h over one enumeration,
+and the 11-bit lookup tables of ``rem_many`` are spans of residues
+X^i mod f.  Block residues
 have that one route: at most six table lookups per 63-bit word, over
 slices of 32 768 words through two reused scratch buffers.
 
@@ -56,10 +57,21 @@ def weight_counts(g: int, k: int, n: int) -> np.ndarray:
     return np.bincount(np.bitwise_count(span), minlength=n + 1)
 
 
-def ortho_zero_count(basis: np.ndarray, h: int) -> int:
-    """Number of span elements v with v.h = 0 over GF(2)."""
+def ortho_zero_count(basis: np.ndarray, h):
+    """Number of span elements v with v.h = 0 over GF(2), for one h or each of an array.
+
+    The span is enumerated once, whatever the number of h.
+    """
     span = subspace_elements(basis)
-    return span.size - int(np.count_nonzero(np.bitwise_count(span & int(h)) & 1))
+    odd = np.empty_like(span)
+
+    def count(h: int) -> int:
+        np.bitwise_and(span, h, out=odd)
+        return span.size - int(np.count_nonzero(np.bitwise_count(odd) & 1))
+
+    if np.ndim(h) == 0:
+        return count(int(h))
+    return np.array([count(int(x)) for x in np.ravel(h)], dtype=np.int64)
 
 
 def rem_many(vals: np.ndarray, f: int) -> np.ndarray:

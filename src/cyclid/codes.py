@@ -62,7 +62,11 @@ def in_span(basis: list[int], v: int) -> bool:
 
 
 class CyclicCode:
-    """The cyclic code C(n, g); immutable after construction."""
+    """The cyclic code C(n, g).
+
+    Immutable after construction, apart from the memo of
+    ``p_zero_syndrome`` values per crossover probability.
+    """
 
     def __init__(self, n: int, g: int):
         if n < 1:
@@ -78,6 +82,7 @@ class CyclicCode:
         self.k = n - (g.bit_length() - 1)
         self.h = gf2.div(gf2.xn1(n), g)  # parity polynomial
         self.g_dual = gf2.reciprocal(self.h)
+        self._p0: dict[float, float] = {}
 
     def __repr__(self):
         return f"CyclicCode(n={self.n}, g={gf2.format_poly(self.g)})"
@@ -134,7 +139,9 @@ class CyclicCode:
         weights B_j of the (n - k)-dimensional dual code as
         2^-(n-k) * sum B_j (1-2p)^j (MacWilliams & Sloane 1977), so at
         most 2^min(k, n-k) words are enumerated.  p = 1/2 is allowed for
-        the analytic limit 2^(k-n).
+        the analytic limit 2^(k-n).  The value is kept per p on the code;
+        p and the guard are checked on every call, so refusals are never
+        cached.
         """
         check_crossover(p)
         n, k = self.n, self.k
@@ -143,12 +150,15 @@ class CyclicCode:
                 f"zero-syndrome probability needs min(k, n-k) <= {ENUM_GUARD_K} and "
                 f"n <= {WORD_GUARD_N}, got n={n}, k={k}, n-k={n - k}"
             )
-        i = np.arange(n + 1, dtype=np.float64)
-        if k <= n - k:
-            a = weight_counts(self.g, k, n).astype(np.float64)
-            return float(np.sum(a * p**i * (1.0 - p) ** (n - i)))
-        b = weight_counts(self.g_dual, n - k, n).astype(np.float64)
-        return math.ldexp(float(np.sum(b * (1.0 - 2.0 * p) ** i)), k - n)
+        if p not in self._p0:
+            i = np.arange(n + 1, dtype=np.float64)
+            if k <= n - k:
+                a = weight_counts(self.g, k, n).astype(np.float64)
+                self._p0[p] = float(np.sum(a * p**i * (1.0 - p) ** (n - i)))
+            else:
+                b = weight_counts(self.g_dual, n - k, n).astype(np.float64)
+                self._p0[p] = math.ldexp(float(np.sum(b * (1.0 - 2.0 * p) ** i)), k - n)
+        return self._p0[p]
 
 
 def check_divisor(n: int, f: int) -> int:

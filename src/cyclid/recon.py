@@ -130,8 +130,8 @@ def mean_zero_coeff_prob_exact(
     total = float(1 << dim)
     acc = 0.0
     hs = parity_check_rows(CyclicCode(n, f))
-    for h in hs:
-        a = ortho_zero_count(basis, h) / total
+    for h, zeros in zip(hs, ortho_zero_count(basis, hs).tolist()):
+        a = zeros / total
         b = (1.0 - (1.0 - 2.0 * p) ** int.bit_count(h)) / 2.0
         acc += a * (1.0 - b) + (1.0 - a) * b
     return acc / len(hs)
@@ -158,10 +158,6 @@ def root_divisibility_prob_exact(
 
 def _zero_frac(polys: np.ndarray, f: int) -> float:
     return float(np.count_nonzero(rem_many(polys, f) == 0) / polys.size)
-
-
-def _code_zero_frac(polys: np.ndarray, code: CyclicCode) -> float:
-    return _zero_frac(polys, code.g)
 
 
 def _mean_zero_check_frac(polys: np.ndarray, code: CyclicCode) -> float:
@@ -236,10 +232,57 @@ def _spread_score(group: list[TestOutcome]) -> tuple[float, int]:
     return top.stat - min(o.stat for o in group), top.f
 
 
+# --- per-length group statistics: (n, codes, stream bits) -> (words -> stats) ---
+
+_TABLE_SLICE = 1 << 15  # words per rem_many call while a divisibility table fills
+
+
+def divisibility_table(n: int, codes: list[CyclicCode], nbits: int) -> np.ndarray | None:
+    """Bit i of table[w] set iff codes[i].g divides the n-bit word w.
+
+    Built only where its 2^n entries take at most `nbits` bytes, so it is
+    never larger than the stream's uint8 bit array; None otherwise.  The
+    dtype is the narrowest unsigned one with a bit per code.
+    """
+    dtype = np.min_scalar_type((1 << len(codes)) - 1)
+    if (1 << n) * dtype.itemsize > nbits:
+        return None
+    table = np.zeros(1 << n, dtype=dtype)
+    for lo in range(0, table.size, _TABLE_SLICE):
+        words = np.arange(lo, min(lo + _TABLE_SLICE, table.size), dtype=np.uint64)
+        part = table[lo : lo + words.size]
+        for i, code in enumerate(codes):
+            part[rem_many(words, code.g) == 0] |= dtype.type(1 << i)
+    return table
+
+
+def _zero_fracs(n: int, codes: list[CyclicCode], nbits: int):
+    """Each code's fraction of words divisible by its generator.
+
+    With a divisibility table, one gather gives every word's mask and a
+    bit count per code gives its zeros; longer lengths reduce the words
+    modulo each generator.  Either way the stat is count / M.
+    """
+    table = divisibility_table(n, codes, nbits)
+    if table is None:
+        return lambda polys: [_zero_frac(polys, c.g) for c in codes]
+    bits = [table.dtype.type(1 << i) for i in range(len(codes))]
+
+    def fracs(polys: np.ndarray) -> list[float]:
+        masks = np.take(table, polys.view(np.intp))  # words are below 2^n
+        return [float(np.count_nonzero(masks & bit) / polys.size) for bit in bits]
+
+    return fracs
+
+
+def _mean_zero_check_fracs(n: int, codes: list[CyclicCode], nbits: int):
+    return lambda polys: [_mean_zero_check_frac(polys, c) for c in codes]
+
+
 METHODS = {
-    "zero-syndrome": (_code_zero_frac, _tested, _kl_score),
-    "factor-entropy": (_mean_zero_check_frac, _untested, _deviation_score),
-    "root-entropy": (_code_zero_frac, _untested, _spread_score),
+    "zero-syndrome": (_zero_fracs, _tested, _kl_score),
+    "factor-entropy": (_mean_zero_check_fracs, _untested, _deviation_score),
+    "root-entropy": (_zero_fracs, _untested, _spread_score),
 }
 
 
@@ -264,6 +307,11 @@ def reconstruct(
     rule.
 
     The best score wins, ties to smaller n, then smaller s.
+
+    The zero-syndrome and root-entropy counts of a length n come from
+    ``divisibility_table`` when its 2^n entries fit in as many bytes as
+    the stream has bits, else from ``rem_many`` per factor; both give
+    the same count / M.  p0 is computed once per candidate code.
     """
     if n_min < 2:
         raise ValueError("need n_min >= 2")
@@ -273,7 +321,7 @@ def reconstruct(
         raise GuardError(f"bit-packed blocks need n <= {WORD_GUARD_N}, got n_max={n_max}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    stat_of, outcome_of, score_of = METHODS[method]
+    stats_at, outcome_of, score_of = METHODS[method]
     bits = np.asarray(bits, dtype=np.uint8)
     diagnostics: dict = {}
     m_at_nmax = (bits.size - (n_max - 1)) // n_max
@@ -288,6 +336,7 @@ def reconstruct(
     padded = np.concatenate([bits, np.zeros(n_max, dtype=np.uint8)])
     for n in range(n_min, n_max + 1):
         codes = [CyclicCode(n, f) for f in _candidate_factors(n)]
+        stats_of = stats_at(n, codes, bits.size)
         # every offset's blocks come from the blocks at offset 0, packed once
         aligned = blocks_to_polys(segment(padded[: bits.size + n], n, 0))
         words = np.empty(aligned.size - 1, dtype=np.uint64)
@@ -296,7 +345,7 @@ def reconstruct(
             if m <= 0:
                 continue
             polys = offset_words(aligned, n, s, words[:m])
-            group = [outcome_of(stat_of(polys, c), s, m, c, p) for c in codes]
+            group = [outcome_of(st, s, m, c, p) for st, c in zip(stats_of(polys), codes)]
             outcomes.extend(group)
             scored = score_of(group)
             if scored is not None:

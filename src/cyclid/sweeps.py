@@ -153,31 +153,36 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
     res["cross_validation"].notes["degenerate_instances"] = []
     divisors = [f for f in gf2.divisors_xn1(n) if 1 <= f.bit_length() - 1 < n]
     uniform_verified: set = set()
+    # per n0: specs and their bases depend on (code, n) only, not on f, and
+    # every basis word of the n0 is reduced mod f in one call
+    row = []
     for n0 in n0_list:
         if n > 2 * n0 + 2:
             continue
-        # specs and their bases depend on (code, n) only, not on f
         code_specs = [
             (code, _spec_bases(code, n, with_components)) for code in nondegenerate_codes(n0)
         ]
         bases = [basis for _, spec_bases in code_specs for _, basis, _ in spec_bases]
-        if not bases:
-            continue  # every spec is over the guards: no error DP either
-        words = np.array([b for basis in bases for b in basis], dtype=np.uint64)
-        ends = np.cumsum([len(basis) for basis in bases])[:-1]
-        for f in divisors:
-            deg_f = f.bit_length() - 1
-            # p -> (error residue masses, subgroup-coset bound on the zero mass)
-            noise = {}
-            if with_noise and deg_f <= 20:
-                for p in p_list:
-                    dense = _error_dp_cached(n, f, p)[0]
-                    noise[p] = (dense, float(dense[0]) * (lambda_coeff(n, deg_f, p) + 1.0) / 2.0)
-            check_noisy = partial(_check_noisy, res, n, noise, uniform_verified) if noise else None
+        if bases:  # else every spec is over the guards
+            words = np.array([b for basis in bases for b in basis], dtype=np.uint64)
+            row.append((n0, code_specs, words, np.cumsum([len(basis) for basis in bases])[:-1]))
+    if not row:
+        return res  # no error DP either
+    # f outside n0: each error DP is built once per (n, f, p) and shared by the n0
+    for f in divisors:
+        deg_f = f.bit_length() - 1
+        # p -> (error residue masses, subgroup-coset bound on the zero mass)
+        noise = {}
+        if with_noise and deg_f <= 20:
+            for p in p_list:
+                dense = _error_dp_cached(n, f, p)[0]
+                noise[p] = (dense, float(dense[0]) * (lambda_coeff(n, deg_f, p) + 1.0) / 2.0)
+        check_noisy = partial(_check_noisy, res, n, noise, uniform_verified) if noise else None
+        for n0, code_specs, words, ends in row:
             # residue image -> record for the codes of this (n0, f); dropped
-            # with it, so the row holds one f's records at a time
+            # with it, so the row holds one (n0, f)'s records at a time
             memo: dict = {}
-            # the residues of every spec basis of the row, in spec order
+            # the residues of every spec basis of the n0, in spec order
             residues = iter(np.split(rem_many(words, f), ends))
             for code, spec_bases in code_specs:
                 trunc_kind = None

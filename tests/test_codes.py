@@ -91,6 +91,23 @@ def test_p_zero_syndrome():
         code.p_zero_syndrome(0.7)
 
 
+def test_p_zero_syndrome_kept_per_p(monkeypatch):
+    enumerations = []
+    monkeypatch.setattr(
+        "cyclid.codes.weight_counts", lambda *a: enumerations.append(a) or weight_counts(*a)
+    )
+    code = CyclicCode(15, P("x^4+x+1"))
+    first = code.p_zero_syndrome(0.01)
+    assert code.p_zero_syndrome(0.01) is first
+    assert len(enumerations) == 1
+    assert code.p_zero_syndrome(0.05) != first and len(enumerations) == 2
+    # p is checked on every call, also after a good one
+    for bad in (-0.1, 0.7, float("nan")):
+        with pytest.raises(ValueError):
+            code.p_zero_syndrome(bad)
+    assert CyclicCode(15, P("x^4+x+1")).p_zero_syndrome(0.01) == first
+
+
 def test_p_zero_syndrome_dual_route_matches_weight_sum():
     # k > n - k takes the MacWilliams route through the dual code's weights
     for n in range(1, 21):
@@ -129,8 +146,10 @@ def test_p_zero_syndrome_guard():
         g = gf2.mul(g, f)
     code = CyclicCode(63, g)
     assert (code.k, code.n - code.k) == (36, 27)
-    with pytest.raises(GuardError, match="n-k=27"):
-        code.p_zero_syndrome(0.01)
+    # a refusal is never kept: every call raises again
+    for _ in range(2):
+        with pytest.raises(GuardError, match="n-k=27"):
+            code.p_zero_syndrome(0.01)
 
 
 def test_syndrome_basis_paper_values():

@@ -78,6 +78,17 @@ def test_ortho_zero_count_against_parity_loop():
             assert K.ortho_zero_count(basis, dual[0]) == 1 << dim
 
 
+def test_ortho_zero_count_array_matches_scalar_calls():
+    for dim in (0, 1, 5, 9):
+        basis = random_basis(dim, 12)
+        hs = [0, 1, *rng.integers(0, 1 << 12, size=6).tolist()]
+        got = K.ortho_zero_count(basis, np.array(hs, dtype=np.uint64))
+        assert got.tolist() == [K.ortho_zero_count(basis, h) for h in hs]
+        assert got[0] == 1 << dim  # h = 0: every element
+    assert K.ortho_zero_count(random_basis(0, 12), [5, 0]).tolist() == [1, 1]
+    assert K.ortho_zero_count(random_basis(3, 12), []).tolist() == []
+
+
 def test_rem_many_matches_gf2_rem():
     vals = rng.integers(0, 1 << 63, size=300, dtype=np.uint64)
     vals[:3] = (0, 1, (1 << 63) - 1)

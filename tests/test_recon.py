@@ -9,6 +9,7 @@ from cyclid import gf2
 from cyclid.codes import CyclicCode, GuardError
 from cyclid.dists import Boundary, Interior
 from cyclid.recon import (
+    divisibility_table,
     empirical_stats,
     h1_upper_bound,
     hypothesis_test,
@@ -245,6 +246,33 @@ def test_reconstruct_wide_blocks_zero_counts(monkeypatch):
         for o in group:
             zeros = sum(gf2.rem(v, o.f) == 0 for v in polys)
             assert (o.M, o.stat) == (len(polys), zeros / len(polys))
+
+
+def test_divisibility_table_counts_equal_direct_counts():
+    bch15 = CyclicCode(15, gf2.mul(P("x^4+x+1"), P("x^4+x^3+x^2+x+1")))
+    bits = generate_stream(StreamConfig(bch15, 4, 0.02, 2700, seed=3))
+    # 40 504 bits: a byte per word holds the 2^15-word table of n = 15 (5
+    # factors) and not the 2^16-word one, so n = 16, 17 count directly
+    tabled = {
+        n: divisibility_table(n, [CyclicCode(n, f) for f, _ in gf2.factor_xn1(n)], bits.size)
+        for n in range(13, 18)
+    }
+    assert [n for n, t in tabled.items() if t is not None] == [13, 14, 15]
+    assert len(gf2.factor_xn1(15)) == 5 and tabled[15].dtype == np.uint8
+    for method in ("zero-syndrome", "root-entropy"):
+        rep = reconstruct(bits, 13, 17, 0.02, method=method)
+        assert {o.n for o in rep.outcomes} == set(tabled)
+        for o in rep.outcomes:
+            assert o.stat == zero_syndrome_stat(segment(bits, o.n, o.s), o.f)
+        assert rep.winner[:2] == (15, 4)
+
+
+def test_divisibility_table_bits():
+    codes = [CyclicCode(9, f) for f, _ in gf2.factor_xn1(9)]
+    table = divisibility_table(9, codes, 512)
+    assert divisibility_table(9, codes, 511) is None
+    for w in range(512):
+        assert table[w] == sum(1 << i for i, c in enumerate(codes) if gf2.rem(w, c.g) == 0)
 
 
 def test_comparison_methods_rank_true_parameters():

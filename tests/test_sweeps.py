@@ -1,6 +1,6 @@
 import pytest
 
-from cyclid import gf2, sweeps
+from cyclid import dists, gf2, sweeps
 from cyclid.dists import _error_dp_cached
 from cyclid.sweeps import (
     _sweep_n_row,
@@ -116,6 +116,19 @@ def test_guarded_row_builds_no_error_dp():
     res = _sweep_n_row(30, (7, 15), (0.01,), True, False)
     assert _error_dp_cached.cache_info().misses == misses
     assert all(r.checked == 0 for r in res.values())
+
+
+def test_row_shared_by_two_n0_builds_each_error_dp_once(monkeypatch):
+    # row 16 serves n0 = 7 and n0 = 15; X^16+1 = (x+1)^16 has 15 divisors
+    # with 1 <= deg f < 16, so the row needs 15 * 3 error DPs, more than the
+    # DP memo holds: the n0 loop must sit inside the f loop to build each once
+    builds = []
+    dp = dists.bsc_residue_dp
+    monkeypatch.setattr(dists, "bsc_residue_dp", lambda *a: builds.append(1) or dp(*a))
+    _error_dp_cached.cache_clear()
+    res = _sweep_n_row(16, (7, 15), (0.01, 0.05, 0.1), True, False)
+    assert len(builds) == 15 * 3
+    assert res["theorem5_bound"].checked > 0 and all(r.ok for r in res.values())
 
 
 def test_lemma_suites_small():
