@@ -3,10 +3,10 @@
 Every span enumeration goes through ``subspace_elements``: the residue
 tally and the weight distribution are one ``bincount`` over its output,
 the orthogonal counts are one parity count per h over one enumeration,
-and the 11-bit lookup tables of ``rem_many`` are spans of residues
-X^i mod f.  Block residues
-have that one route: at most six table lookups per 63-bit word, over
-slices of 32 768 words through two reused scratch buffers.
+and block residues are lookups in spans of residues X^i mod f: at most
+six 11-bit lookups per 63-bit word in ``rem_many``, over slices of
+32 768 words through two reused scratch buffers, and in ``recon`` the
+residues modulo all factors of a length packed side by side in one word.
 
 All polynomial arguments are bit-packed into 64-bit words (coefficient
 of X^i in bit i).  Callers keep words below 2^63 (``WORD_GUARD_N`` in
@@ -35,10 +35,10 @@ _CHUNK = 11  # bits per residue lookup: a 2048-word table (16 KB)
 _SLICE = 1 << 15  # words per pass of `rem_many` through its scratch buffers
 
 
-def subspace_elements(basis) -> np.ndarray:
+def subspace_elements(basis, dtype=np.intp) -> np.ndarray:
     """All 2^dim XOR combinations of the basis words, combination i at index i."""
     # doubled in place in one buffer: element h + i is element i ^ basis[j]
-    span = np.zeros(1 << len(basis), dtype=np.intp)
+    span = np.zeros(1 << len(basis), dtype=dtype)
     h = 1
     for r in np.asarray(basis).tolist():
         np.bitwise_xor(span[:h], r, out=span[h : 2 * h])

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gf2
-from ._kernels import ortho_zero_count, rem_many
+from ._kernels import _CHUNK, ortho_zero_count, rem_many, subspace_elements
 from .codes import WORD_GUARD_N, CyclicCode, GuardError, check_crossover, parity_check_rows
 from .dists import (
     BlockType,
@@ -43,10 +43,11 @@ MIN_BLOCKS_COMFORT = 50
 
 
 def zero_syndrome_stat(blocks: np.ndarray, f: int) -> float:
-    """Fraction of blocks whose polynomial is divisible by f."""
+    """Fraction of blocks whose polynomial is divisible by f, a divisor of X^n+1."""
     if blocks.shape[0] == 0:
         raise ValueError("no blocks")
-    return _zero_frac(blocks_to_polys(blocks), f)
+    n = blocks.shape[1]
+    return _zero_fracs(n, [CyclicCode(n, f)], blocks.size)(blocks_to_polys(blocks))[0]
 
 
 def lambda_coeff(n: int, deg_f: int, p: float) -> float:
@@ -156,10 +157,6 @@ def root_divisibility_prob_exact(
     return noisy_zero_mass(base, err)
 
 
-def _zero_frac(polys: np.ndarray, f: int) -> float:
-    return float(np.count_nonzero(rem_many(polys, f) == 0) / polys.size)
-
-
 def _mean_zero_check_frac(polys: np.ndarray, code: CyclicCode) -> float:
     hs = np.array(parity_check_rows(code), dtype=np.uint64)
     bits = np.bitwise_count(polys[:, None] & hs[None, :]) & np.uint64(1)
@@ -171,10 +168,11 @@ def empirical_stats(blocks: np.ndarray, f: int) -> dict[str, float]:
     if blocks.shape[0] == 0:
         raise ValueError("no blocks")
     polys = blocks_to_polys(blocks)
-    zero_frac = _zero_frac(polys, f)
+    code = CyclicCode(blocks.shape[1], f)
+    zero_frac = _zero_fracs(code.n, [code], blocks.size)(polys)[0]
     return {
         "zero_syndrome_frac": zero_frac,
-        "mean_zero_coeff_frac": _mean_zero_check_frac(polys, CyclicCode(blocks.shape[1], f)),
+        "mean_zero_coeff_frac": _mean_zero_check_frac(polys, code),
         "divisibility_frac": zero_frac,
     }
 
@@ -234,43 +232,41 @@ def _spread_score(group: list[TestOutcome]) -> tuple[float, int]:
 
 # --- per-length group statistics: (n, codes, stream bits) -> (words -> stats) ---
 
-_TABLE_SLICE = 1 << 15  # words per rem_many call while a divisibility table fills
-
-
-def divisibility_table(n: int, codes: list[CyclicCode], nbits: int) -> np.ndarray | None:
-    """Bit i of table[w] set iff codes[i].g divides the n-bit word w.
-
-    Built only where its 2^n entries take at most `nbits` bytes, so it is
-    never larger than the stream's uint8 bit array; None otherwise.  The
-    dtype is the narrowest unsigned one with a bit per code.
-    """
-    dtype = np.min_scalar_type((1 << len(codes)) - 1)
-    if (1 << n) * dtype.itemsize > nbits:
-        return None
-    table = np.zeros(1 << n, dtype=dtype)
-    for lo in range(0, table.size, _TABLE_SLICE):
-        words = np.arange(lo, min(lo + _TABLE_SLICE, table.size), dtype=np.uint64)
-        part = table[lo : lo + words.size]
-        for i, code in enumerate(codes):
-            part[rem_many(words, code.g) == 0] |= dtype.type(1 << i)
-    return table
-
 
 def _zero_fracs(n: int, codes: list[CyclicCode], nbits: int):
-    """Each code's fraction of words divisible by its generator.
+    """Each code's fraction of n-bit words divisible by its generator.
 
-    With a divisibility table, one gather gives every word's mask and a
-    bit count per code gives its zeros; longer lengths reduce the words
-    modulo each generator.  Either way the stat is count / M.
+    w mod f is GF(2)-linear in w, so column b packs X^b mod f for every
+    generator side by side (distinct factors of X^n+1 have degrees summing
+    to the odd part of n, so one word of the narrowest dtype holds them; a
+    wider set gets a word per code).  A word's packed residue is the XOR of
+    lookups in spans of w columns: w = n where that table takes at most as
+    many bytes as the stream has bits, else 11.  Each stat is count / M.
     """
-    table = divisibility_table(n, codes, nbits)
-    if table is None:
-        return lambda polys: [_zero_frac(polys, c.g) for c in codes]
-    bits = [table.dtype.type(1 << i) for i in range(len(codes))]
+    groups = [codes] if sum(c.n - c.k for c in codes) <= 63 else [[c] for c in codes]
+    units = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    lookups = []  # (tables, w, field masks) per packed word
+    for group in groups:
+        cols, fields, o = np.zeros(n, dtype=np.uint64), [], 0
+        for c in group:
+            cols |= rem_many(units, c.g) << np.uint64(o)
+            fields.append(((1 << (c.n - c.k)) - 1) << o)
+            o += c.n - c.k
+        dtype = np.min_scalar_type((1 << o) - 1)
+        w = n if (1 << n) * dtype.itemsize <= nbits else _CHUNK
+        tables = [subspace_elements(cols[b : b + w], dtype) for b in range(0, n, w)]
+        lookups.append((tables, w, fields))
 
     def fracs(polys: np.ndarray) -> list[float]:
-        masks = np.take(table, polys.view(np.intp))  # words are below 2^n
-        return [float(np.count_nonzero(masks & bit) / polys.size) for bit in bits]
+        v = polys.view(np.intp)  # words are below 2^n <= 2^63
+        out = []
+        for tables, w, fields in lookups:
+            low = (1 << w) - 1
+            res = np.take(tables[0], v if len(tables) == 1 else v & low)
+            for c in range(1, len(tables)):
+                res ^= np.take(tables[c], (v >> (c * w)) & low)
+            out += [float((v.size - np.count_nonzero(res & f)) / v.size) for f in fields]
+        return out
 
     return fracs
 
@@ -308,11 +304,13 @@ def reconstruct(
 
     The best score wins, ties to smaller n, then smaller s.
 
+    The crossover probability p is checked first, for every method.
     The zero-syndrome and root-entropy counts of a length n come from
-    ``divisibility_table`` when its 2^n entries fit in as many bytes as
-    the stream has bits, else from ``rem_many`` per factor; both give
-    the same count / M.  p0 is computed once per candidate code.
+    one packed residue per block, all factors side by side, summed by
+    table lookup (``_zero_fracs``); each stat is count / M.  p0 is
+    computed once per candidate code.
     """
+    check_crossover(p)
     if n_min < 2:
         raise ValueError("need n_min >= 2")
     if n_max < n_min:
@@ -324,7 +322,7 @@ def reconstruct(
     stats_at, outcome_of, score_of = METHODS[method]
     bits = np.asarray(bits, dtype=np.uint8)
     diagnostics: dict = {}
-    m_at_nmax = (bits.size - (n_max - 1)) // n_max
+    m_at_nmax = max(0, (bits.size - (n_max - 1)) // n_max)
     if m_at_nmax < MIN_BLOCKS_COMFORT:
         diagnostics["warning"] = (
             f"only {m_at_nmax} blocks at n={n_max}; statistics may be unstable"

@@ -123,6 +123,24 @@ def test_reconstruct_no_code_exit(tmp_path, capsys):
     assert "no code detected" in out
 
 
+def test_reconstruct_refuses_p_outside_range(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    run(
+        capsys,
+        "gen",
+        "--n0", "7", "--g0", "x3+x+1", "--s0", "0", "--p", "0",
+        "--blocks", "100", "--seed", "3", "--out", str(stream),
+    )
+    code, out, err = run(
+        capsys,
+        "reconstruct",
+        "--in", str(stream),
+        "--n-min", "3", "--n-max", "8", "--p", "0.7", "--method", "root-entropy",
+    )
+    assert code == 1
+    assert "[0, 1/2]" in err and out == ""
+
+
 def test_reconstruct_machine_output(tmp_path, capsys):
     stream = tmp_path / "s.txt"
     run(

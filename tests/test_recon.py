@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from cyclid import gf2
+from cyclid import gf2, recon
+from cyclid._kernels import rem_many
 from cyclid.codes import CyclicCode, GuardError
 from cyclid.dists import Boundary, Interior
 from cyclid.recon import (
-    divisibility_table,
     empirical_stats,
     h1_upper_bound,
     hypothesis_test,
@@ -21,7 +21,7 @@ from cyclid.recon import (
     root_divisibility_prob_exact,
     zero_syndrome_stat,
 )
-from cyclid.stream import StreamConfig, generate_stream, segment
+from cyclid.stream import StreamConfig, blocks_to_polys, generate_stream, segment
 
 
 def P(text):
@@ -50,6 +50,8 @@ def test_zero_syndrome_stat():
     assert zero_syndrome_stat(mixed, P("x+1")) == 0.25
     with pytest.raises(ValueError):
         zero_syndrome_stat(np.empty((0, 3), dtype=np.uint8), P("x+1"))
+    with pytest.raises(ValueError, match="does not divide"):
+        zero_syndrome_stat(ones, P("x^2+1"))
 
 
 def test_lambda_coeff():
@@ -207,6 +209,21 @@ def test_reconstruct_warns_when_short():
     assert "warning" in rep.diagnostics
 
 
+def test_reconstruct_warning_never_counts_negative_blocks():
+    bits = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+    rep = reconstruct(bits, 3, 10, 0.0)
+    assert rep.diagnostics["warning"] == "only 0 blocks at n=10; statistics may be unstable"
+
+
+def test_reconstruct_checks_p_for_every_method():
+    cfg = StreamConfig(hamming7(), s0=0, p=0.0, blocks=100, seed=1)
+    bits = generate_stream(cfg)
+    for method in ("zero-syndrome", "factor-entropy", "root-entropy"):
+        for p in (-0.1, 0.7, float("nan")):
+            with pytest.raises(ValueError, match=r"\[0, 1/2\]"):
+                reconstruct(bits, 3, 8, p, method=method)
+
+
 def test_reconstruct_validation():
     bits = np.zeros(100, dtype=np.uint8)
     with pytest.raises(ValueError):
@@ -248,31 +265,41 @@ def test_reconstruct_wide_blocks_zero_counts(monkeypatch):
             assert (o.M, o.stat) == (len(polys), zeros / len(polys))
 
 
-def test_divisibility_table_counts_equal_direct_counts():
+def test_zero_counts_pack_every_factor_and_match_direct_counts(monkeypatch):
     bch15 = CyclicCode(15, gf2.mul(P("x^4+x+1"), P("x^4+x^3+x^2+x+1")))
     bits = generate_stream(StreamConfig(bch15, 4, 0.02, 2700, seed=3))
-    # 40 504 bits: a byte per word holds the 2^15-word table of n = 15 (5
-    # factors) and not the 2^16-word one, so n = 16, 17 count directly
-    tabled = {
-        n: divisibility_table(n, [CyclicCode(n, f) for f, _ in gf2.factor_xn1(n)], bits.size)
-        for n in range(13, 18)
-    }
-    assert [n for n, t in tabled.items() if t is not None] == [13, 14, 15]
-    assert len(gf2.factor_xn1(15)) == 5 and tabled[15].dtype == np.uint8
+    # 40 504 bits.  A length's factors pack into one word as wide as the odd
+    # part of n, and its table covers all n columns where 2^n entries of that
+    # word take at most 40 504 bytes, else 11 columns per table:
+    #   n = 13: uint16, 2^13 * 2 = 16 384 bytes -> one 13-column table
+    #   n = 14: odd part 7, uint8, 2^14 * 1 = 16 384 -> one 14-column table
+    #   n = 15: 5 factors, 1+2+4+4+4 = 15 bits, uint16, 2^15 * 2 = 65 536 -> 11 + 4
+    #   n = 16..22: at least 2^16 = 65 536 bytes -> two chunks, 11 + (n - 11)
+    #   n = 23: 11 + 11 + 1
+    real, chunks = recon.subspace_elements, {}
+
+    def spy(cols, dtype):
+        chunks[n].append((len(cols), np.dtype(dtype)))
+        return real(cols, dtype)
+
+    monkeypatch.setattr(recon, "subspace_elements", spy)
+    for n in range(13, 24):
+        chunks[n] = []
+        recon._zero_fracs(n, [CyclicCode(n, f) for f, _ in gf2.factor_xn1(n)], bits.size)
+    monkeypatch.undo()
+    assert chunks[13] == [(13, np.uint16)] and chunks[14] == [(14, np.uint8)]
+    assert len(gf2.factor_xn1(15)) == 5 and chunks[15] == [(11, np.uint16), (4, np.uint16)]
+    for n in range(16, 23):
+        assert [w for w, _ in chunks[n]] == [11, n - 11]
+    assert [w for w, _ in chunks[23]] == [11, 11, 1]
     for method in ("zero-syndrome", "root-entropy"):
-        rep = reconstruct(bits, 13, 17, 0.02, method=method)
-        assert {o.n for o in rep.outcomes} == set(tabled)
+        rep = reconstruct(bits, 13, 23, 0.02, method=method)
+        assert {o.n for o in rep.outcomes} == set(range(13, 24))
         for o in rep.outcomes:
-            assert o.stat == zero_syndrome_stat(segment(bits, o.n, o.s), o.f)
+            polys = blocks_to_polys(segment(bits, o.n, o.s))
+            zeros = np.count_nonzero(rem_many(polys, o.f) == 0)
+            assert (o.M, o.stat) == (polys.size, zeros / polys.size)
         assert rep.winner[:2] == (15, 4)
-
-
-def test_divisibility_table_bits():
-    codes = [CyclicCode(9, f) for f, _ in gf2.factor_xn1(9)]
-    table = divisibility_table(9, codes, 512)
-    assert divisibility_table(9, codes, 511) is None
-    for w in range(512):
-        assert table[w] == sum(1 << i for i, c in enumerate(codes) if gf2.rem(w, c.g) == 0)
 
 
 def test_comparison_methods_rank_true_parameters():
