@@ -36,7 +36,7 @@ from .stream import (
     save_stream,
     save_stream_metadata,
 )
-from . import dists, sweeps
+from . import sweeps
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,9 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2", type=int, default=0, help="prefix length")
     p.add_argument("--f", type=_poly, required=True)
     p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--guard-dim", type=int, help="raise the enumeration guard")
-    p.add_argument("--guard-n", type=int, help="raise the block-length guard")
-    p.add_argument("--guard-degf", type=int, help="raise the residue-table guard")
 
     p = sub.add_parser("gen", help="generate a noise-affected stream file")
     p.add_argument("--n0", type=int, required=True)
@@ -127,21 +124,6 @@ def run_factor(args) -> int:
 
 
 def run_dist(args) -> int:
-    # the guard flags hold for this command only
-    saved = (dists.DIM_GUARD, dists.SPAN_GUARD_N, dists.DEGF_DP_GUARD)
-    try:
-        return _dist(args)
-    finally:
-        dists.set_guards(*saved)
-
-
-def _dist(args) -> int:
-    if args.guard_dim or args.guard_n or args.guard_degf:
-        effective = dists.set_guards(dim=args.guard_dim, n=args.guard_n, deg_f=args.guard_degf)
-        for flag, key in (("guard_dim", "dim"), ("guard_n", "n"), ("guard_degf", "deg_f")):
-            asked = getattr(args, flag)
-            if asked and asked > effective[key]:
-                print(f"note: {key} guard clamped to hard cap {effective[key]}")
     code = CyclicCode(args.n0, args.g0)
     if args.trunc is not None:
         spec = Truncation(code, args.trunc)

@@ -6,7 +6,8 @@ degree < k = n - deg(g).  Codeword enumeration and the weight
 distribution are exact brute force, guarded at k <= 24 (about 16M
 codewords) so oversized requests fail loudly instead of silently
 sampling.  The zero-syndrome probability enumerates whichever of the
-code and its dual is smaller, so its guard is min(k, n - k) <= 24.
+code and its dual is smaller, so its guard is min(k, n - k) <= 24; an
+even length past it folds to its odd part where the generator allows.
 """
 
 from __future__ import annotations
@@ -138,21 +139,30 @@ class CyclicCode:
         the code; otherwise the MacWilliams identity gives it from the
         weights B_j of the (n - k)-dimensional dual code as
         2^-(n-k) * sum B_j (1-2p)^j (MacWilliams & Sloane 1977), so at
-        most 2^min(k, n-k) words are enumerated.  p = 1/2 is allowed for
-        the analytic limit 2^(k-n).  The value is kept per p on the code;
-        p and the guard are checked on every call, so refusals are never
-        cached.
+        most 2^min(k, n-k) words are enumerated.  Past that guard, an even
+        n = 2^a * m (m odd) with g dividing X^m + 1 folds to C(m, g):
+        X^m = 1 mod g, so e mod g is the residue of the XOR of the n/m
+        slices of e, a BSC word of crossover (1 - (1-2p)^(n/m)) / 2.
+        p = 1/2 is allowed for the analytic limit 2^(k-n).  The value is
+        kept per p on the code; p and the guard are checked on every
+        call, so refusals are never cached.
         """
         check_crossover(p)
         n, k = self.n, self.k
-        if min(k, n - k) > ENUM_GUARD_K or n > WORD_GUARD_N:
+        big = min(k, n - k) > ENUM_GUARD_K
+        m = n // (n & -n)  # odd part of n
+        fold = big and m < n and gf2.rem(gf2.xn1(m), self.g) == 0
+        if (big and not fold) or n > WORD_GUARD_N:
             raise GuardError(
                 f"zero-syndrome probability needs min(k, n-k) <= {ENUM_GUARD_K} and "
                 f"n <= {WORD_GUARD_N}, got n={n}, k={k}, n-k={n - k}"
             )
         if p not in self._p0:
             i = np.arange(n + 1, dtype=np.float64)
-            if k <= n - k:
+            if fold:
+                p_fold = (1.0 - (1.0 - 2.0 * p) ** (n // m)) / 2.0
+                self._p0[p] = CyclicCode(m, self.g).p_zero_syndrome(p_fold)
+            elif k <= n - k:
                 a = weight_counts(self.g, k, n).astype(np.float64)
                 self._p0[p] = float(np.sum(a * p**i * (1.0 - p) ** (n - i)))
             else:

@@ -43,26 +43,9 @@ from ._kernels import (
 )
 from .codes import CyclicCode, GuardError, check_crossover, check_divisor, span_basis
 
-DIM_GUARD = 24  # subspace enumeration cap: 2^24 elements
-SPAN_GUARD_N = 24  # block length cap for subspace models
+SPAN_GUARD_N = 24  # block length cap for subspace models; dim <= n
 DEGF_DP_GUARD = 20  # dense residue arrays cap: 2^20 states
-_HARD_CAPS = {"dim": 28, "n": 40, "deg_f": 22}
 _MASS_TOL = 1e-12
-
-
-def set_guards(dim: int | None = None, n: int | None = None, deg_f: int | None = None):
-    """Raise (or lower) the enumeration guards, clamped to hard caps.
-
-    Returns the effective values; exceeding a hard cap clamps to it.
-    """
-    global DIM_GUARD, SPAN_GUARD_N, DEGF_DP_GUARD
-    if dim is not None:
-        DIM_GUARD = min(dim, _HARD_CAPS["dim"])
-    if n is not None:
-        SPAN_GUARD_N = min(n, _HARD_CAPS["n"])
-    if deg_f is not None:
-        DEGF_DP_GUARD = min(deg_f, _HARD_CAPS["deg_f"])
-    return {"dim": DIM_GUARD, "n": SPAN_GUARD_N, "deg_f": DEGF_DP_GUARD}
 
 
 class DistributionClass(enum.Enum):
@@ -205,14 +188,8 @@ def build_subspace(spec: SubspaceSpec) -> list[int]:
     if n > SPAN_GUARD_N:
         raise GuardError(f"subspace models need n <= {SPAN_GUARD_N}, got {n}")
     if isinstance(spec, Truncation):
-        basis = span_basis(_truncated_rows(spec.code, spec.n))
-    else:
-        basis = [b for comp in boundary_components(spec) for b in comp]
-    if len(basis) > DIM_GUARD:
-        raise GuardError(
-            f"subspace dimension {len(basis)} exceeds enumeration guard {DIM_GUARD}"
-        )
-    return basis
+        return span_basis(_truncated_rows(spec.code, spec.n))
+    return [b for comp in boundary_components(spec) for b in comp]
 
 
 # --- distributions -----------------------------------------------------------
@@ -291,8 +268,6 @@ def distribution_from_basis(basis, f: int) -> SyndromeDistribution:
     words may be given already reduced mod f.
     """
     dim = len(basis)
-    if dim > DIM_GUARD:
-        raise GuardError(f"subspace dimension {dim} exceeds enumeration guard {DIM_GUARD}")
     deg_f = f.bit_length() - 1
     if deg_f > DEGF_DP_GUARD:
         raise GuardError(f"residue tallies need deg f <= {DEGF_DP_GUARD}, got {deg_f}")
@@ -493,11 +468,8 @@ def predict_class(
 
 @lru_cache(maxsize=16)
 def _error_dp_cached(n: int, f: int, p: float) -> tuple:
-    masks = np.empty(n, dtype=np.int64)
-    r = 1
-    for i in range(n):
-        masks[i] = r
-        r = gf2.rem(r << 1, f)
+    # the columns X^i mod f, i < n
+    masks = rem_many(np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)), f)
     probs = bsc_residue_dp(masks, p, f.bit_length() - 1)
     probs.setflags(write=False)
     return (probs,)

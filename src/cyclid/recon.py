@@ -96,7 +96,7 @@ def hypothesis_test(stat: float, M: int, code: CyclicCode, p: float) -> TestOutc
         raise ValueError("need at least one block")
     p0 = code.p_zero_syndrome(p)
     lam = lambda_coeff(code.n, code.n - code.k, p)
-    bound = p0 * (lam + 1.0) / 2.0
+    bound = h1_upper_bound(code, p)
     tau = (p0 + bound) / 2.0
     return TestOutcome(
         n=code.n,

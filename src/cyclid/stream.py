@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gf2
-from .codes import CyclicCode
+from .codes import CyclicCode, check_crossover
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ class StreamConfig:
             raise ValueError("transmitter code must be non-degenerate")
         if not 0 <= self.s0 < self.code.n:
             raise ValueError("need 0 <= s0 < n0")
-        if not 0.0 <= self.p < 0.5:
-            raise ValueError("need 0 <= p < 1/2")
+        check_crossover(self.p)
         if self.blocks < 1:
             raise ValueError("need at least one transmitted codeword")
 

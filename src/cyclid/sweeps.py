@@ -32,11 +32,13 @@ from . import gf2
 from ._kernels import ortho_zero_count, rem_many, xor_convolve
 from .codes import CyclicCode, GuardError, span_basis, syndrome_basis
 from .dists import (
+    DEGF_DP_GUARD,
     BoundarySpan,
     DistributionClass,
     SyndromeDistribution,
     Truncation,
     _error_dp_cached,
+    _rank_class,
     boundary_components,
     build_subspace,
     distinct_block_types,
@@ -44,7 +46,7 @@ from .dists import (
     predict_class,
     spec_for_block,
 )
-from .recon import lambda_coeff, mean_zero_coeff_prob_exact, reconstruct
+from .recon import h1_upper_bound, lambda_coeff, mean_zero_coeff_prob_exact, reconstruct
 from .stream import StreamConfig, generate_stream
 
 _EQ23_SUPPORT_CAP = 256
@@ -170,13 +172,12 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
         return res  # no error DP either
     # f outside n0: each error DP is built once per (n, f, p) and shared by the n0
     for f in divisors:
-        deg_f = f.bit_length() - 1
-        # p -> (error residue masses, subgroup-coset bound on the zero mass)
+        # p -> (error residue masses, Theorem-5 bound on the zero mass)
         noise = {}
-        if with_noise and deg_f <= 20:
+        if with_noise and f.bit_length() - 1 <= DEGF_DP_GUARD:
+            f_code = CyclicCode(n, f)
             for p in p_list:
-                dense = _error_dp_cached(n, f, p)[0]
-                noise[p] = (dense, float(dense[0]) * (lambda_coeff(n, deg_f, p) + 1.0) / 2.0)
+                noise[p] = (_error_dp_cached(n, f, p)[0], h1_upper_bound(f_code, p))
         check_noisy = partial(_check_noisy, res, n, noise, uniform_verified) if noise else None
         for n0, code_specs, words, ends in row:
             # residue image -> record for the codes of this (n0, f); dropped
@@ -252,7 +253,6 @@ def _check_theorem3(result, code, spec, f, kind, words_mod_f, comps, memo):
     always comes from the rank of the combined supports; violations of
     the literal converse are counted as a note.
     """
-    deg_f = f.bit_length() - 1
     classes = []
     gens: list[int] = []
     start = 0
@@ -262,16 +262,10 @@ def _check_theorem3(result, code, spec, f, kind, words_mod_f, comps, memo):
         classes.append(_image_record(memo, image, f)[0])
         gens.extend(image)
     live = [c for c in classes if c is not DistributionClass.DEGENERATE]
-    rank = len(span_basis(gens))
-    if rank == 0:
-        expect = DistributionClass.DEGENERATE
-    elif rank == deg_f:
-        expect = DistributionClass.UNIFORM
-    else:
-        expect = DistributionClass.RESTRICTED_UNIFORM
+    expect = _rank_class(gens, f.bit_length() - 1)
     result.checked += 1
     if kind is not expect:
-        result.failures.append((code.g, spec, f, f"rank={rank}", str(kind)))
+        result.failures.append((code.g, spec, f, f"expected={expect}", str(kind)))
     if live and all(c is DistributionClass.UNIFORM for c in live):
         if kind is not DistributionClass.UNIFORM:
             result.failures.append((code.g, spec, f, "all-uniform", str(kind)))

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from cyclid import dists
 from cyclid.cli import main
 
 
@@ -123,6 +122,18 @@ def test_reconstruct_no_code_exit(tmp_path, capsys):
     assert "no code detected" in out
 
 
+def test_reconstruct_at_n58_completes(tmp_path, capsys):
+    import numpy as np
+
+    coin = tmp_path / "coin.txt"
+    rng = np.random.Generator(np.random.Philox(58))
+    coin.write_text("".join(map(str, rng.integers(0, 2, 3000).tolist())) + "\n")
+    code, _, err = run(
+        capsys, "reconstruct", "--in", str(coin), "--n-min", "58", "--n-max", "58"
+    )
+    assert code in (0, 2), err
+
+
 def test_reconstruct_refuses_p_outside_range(tmp_path, capsys):
     stream = tmp_path / "s.txt"
     run(
@@ -200,17 +211,17 @@ def test_verify_algebra(capsys):
         assert exc.value.code == 1
 
 
-def test_guard_override(capsys):
-    # normally guarded at n=24; override lets it run, clamped to the hard cap
-    code, out, _ = run(
-        capsys,
-        "dist",
-        "--n0", "7", "--g0", "x3+x+1",
-        "--d1", "5", "--q", "3", "--d2", "0",
-        "--f", "x+1", "--guard-n", "63",
-    )
-    assert code == 0
-    assert "clamped to hard cap 40" in out
-    assert "class=Uniform" in out
-    # the override ends with the command
-    assert (dists.DIM_GUARD, dists.SPAN_GUARD_N, dists.DEGF_DP_GUARD) == (24, 24, 20)
+def test_dist_guards_are_fixed(capsys):
+    # the block-length guard is a constant: the query is refused, naming n = 26
+    argv = [
+        "dist", "--n0", "7", "--g0", "x3+x+1",
+        "--d1", "5", "--q", "3", "--d2", "0", "--f", "x+1",
+    ]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "26" in err
+    # and no flag raises it
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--guard-n", "63"])
+    assert exc.value.code == 1
+    capsys.readouterr()

@@ -152,6 +152,30 @@ def test_p_zero_syndrome_guard():
             code.p_zero_syndrome(0.01)
 
 
+def test_p_zero_syndrome_folds_even_length_past_guard():
+    # X^58+1 = (x+1)^2 f28^2: k = 30 and n - k = 28 are both past the guard,
+    # but f28 divides X^29+1, so C(58, f28) folds to the dimension-1 code
+    # C(29, f28) = {0, 1...1} at crossover q = 2p(1-p)
+    f28 = gf2.factor_xn1(58)[1][0]
+    code = CyclicCode(58, f28)
+    assert (code.k, code.n - code.k) == (30, 28)
+    q = 2 * 0.02 * 0.98
+    assert code.p_zero_syndrome(0.02) == pytest.approx((1 - q) ** 29 + q**29, rel=1e-15)
+    assert code.p_zero_syndrome(0.02) == pytest.approx(0.3135861242067398, rel=1e-15)
+    assert code.p_zero_syndrome(0.5) == 2.0**-28
+
+
+def test_even_length_fold_identity():
+    # the identity behind the fold, where both sides are enumerated directly
+    for n in (6, 10, 12, 14, 18, 20, 28, 30):
+        m = n // (n & -n)
+        for g in gf2.divisors_xn1(m)[1:]:
+            for p in (0.01, 0.1, 0.3):
+                p_fold = (1 - (1 - 2 * p) ** (n // m)) / 2
+                folded = CyclicCode(m, g).p_zero_syndrome(p_fold)
+                assert abs(CyclicCode(n, g).p_zero_syndrome(p) - folded) <= 1e-12, (n, g, p)
+
+
 def test_syndrome_basis_paper_values():
     # n=7, f=x^3+x^2+1: rows of the residue map, ascending coordinates
     hs = syndrome_basis(7, P("x^3+x^2+1"))

@@ -244,6 +244,17 @@ def test_reconstruct_word_limit():
         reconstruct(coin, 3, 64, 0.02)
 
 
+def test_reconstruct_n58_gives_every_outcome_p0():
+    # both factors of X^58+1 get a p0; f28 only through the even-length fold.
+    # The winner is not asserted: a coin stream this short can be accepted
+    # at this length (no finite-sample correction).
+    rng = np.random.Generator(np.random.Philox(58))
+    coin = rng.integers(0, 2, size=3000, dtype=np.uint8)
+    rep = reconstruct(coin, 58, 58, 0.02)
+    assert len(rep.outcomes) == 58 * 2
+    assert all(o.p0 is not None and 0.0 < o.p0 <= 1.0 for o in rep.outcomes)
+
+
 def test_reconstruct_wide_blocks_zero_counts(monkeypatch):
     # 57..63-bit blocks at every offset, where the packed words of two
     # neighbouring aligned blocks span up to 125 bits.  X^59+1 and X^61+1

@@ -31,8 +31,10 @@ def test_config_validation():
         StreamConfig(CyclicCode(4, P("x^2+1")), 0, 0.0, 10, 0)  # degenerate
     with pytest.raises(ValueError):
         StreamConfig(code, 7, 0.0, 10, 0)
-    with pytest.raises(ValueError):
-        StreamConfig(code, 0, 0.5, 10, 0)
+    for p in (-0.1, 0.6, float("nan")):
+        with pytest.raises(ValueError):
+            StreamConfig(code, 0, p, 10, 0)
+    StreamConfig(code, 0, 0.5, 10, 0)  # the coin channel, as dist and reconstruct take it
     with pytest.raises(ValueError):
         StreamConfig(code, 0, 0.0, 0, 0)
 
