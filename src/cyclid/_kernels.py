@@ -1,12 +1,14 @@
 """Hot numeric kernels in numpy.
 
-Every span enumeration goes through ``subspace_elements``: the residue
-tally and the weight distribution are one ``bincount`` over its output,
-the orthogonal counts are one parity count per h over one enumeration,
-and block residues are lookups in spans of residues X^i mod f: at most
-six 11-bit lookups per 63-bit word in ``rem_many``, over slices of
-32 768 words through two reused scratch buffers, and in ``recon`` the
-residues modulo all factors of a length packed side by side in one word.
+Every span enumeration goes through ``subspace_elements``, one span or a
+batch of equal-rank spans in one pass: the residue tally and the weight
+distribution are one ``bincount`` over its output, the orthogonal counts
+are one parity count per h over one enumeration, the sweep's batches of
+residue images are its sorted rows, and block residues are lookups in
+spans of residues X^i mod f: at most six 11-bit lookups per 63-bit word
+in ``rem_many``, over slices of 32 768 words through two reused scratch
+buffers, and in ``recon`` the residues modulo all factors of a length
+packed side by side in one word.
 
 All polynomial arguments are bit-packed into 64-bit words (coefficient
 of X^i in bit i).  Callers keep words below 2^63 (``WORD_GUARD_N`` in
@@ -36,12 +38,18 @@ _SLICE = 1 << 15  # words per pass of `rem_many` through its scratch buffers
 
 
 def subspace_elements(basis, dtype=np.intp) -> np.ndarray:
-    """All 2^dim XOR combinations of the basis words, combination i at index i."""
+    """All 2^dim XOR combinations of the basis words, combination i at index i.
+
+    A basis of shape (rows, dim) gives one span per row, of shape (rows, 2^dim).
+    """
     # doubled in place in one buffer: element h + i is element i ^ basis[j]
-    span = np.zeros(1 << len(basis), dtype=dtype)
+    basis = np.asarray(basis)
+    span = np.zeros((*basis.shape[:-1], 1 << basis.shape[-1]), dtype=dtype)
+    # one span's words as Python ints; several spans' as one column per word
+    words = basis.tolist() if basis.ndim == 1 else basis.T.astype(dtype)[..., None]
     h = 1
-    for r in np.asarray(basis).tolist():
-        np.bitwise_xor(span[:h], r, out=span[h : 2 * h])
+    for r in words:
+        np.bitwise_xor(span[..., :h], r, out=span[..., h : 2 * h])
         h *= 2
     return span
 
@@ -126,22 +134,22 @@ def bsc_residue_dp(masks: np.ndarray, p: float, deg_f: int) -> np.ndarray:
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform along the last axis."""
     h = 1
-    n = a.size
-    a = a.copy()
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n).copy()
     while h < n:
-        a = a.reshape(-1, 2, h)
-        x = a[:, 0, :].copy()
-        a[:, 0, :] = x + a[:, 1, :]
-        a[:, 1, :] = x - a[:, 1, :]
-        a = a.reshape(n)
+        a = a.reshape(a.shape[0], -1, 2, h)
+        x = a[:, :, 0, :].copy()
+        a[:, :, 0, :] = x + a[:, :, 1, :]
+        a[:, :, 1, :] = x - a[:, :, 1, :]
         h *= 2
-    return a
+    return a.reshape(shape)
 
 
 def xor_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """XOR convolution of two dense vectors of equal power-of-two length."""
-    n = a.size
+    """XOR convolution along the last axis (a power-of-two length); leading axes broadcast."""
+    n = a.shape[-1]
     out = _fwht(_fwht(a) * _fwht(b))
     out /= n
     return out

@@ -37,7 +37,7 @@ def span_basis(vectors) -> list[int]:
 
     Fully reduced, so equal spans give identical bases.
     """
-    rows: dict[int, int] = {}
+    rows: dict[int, int] = {}  # pivot (leading bit) -> row
     for v in vectors:
         v = int(v)
         while v:
@@ -47,11 +47,20 @@ def span_basis(vectors) -> list[int]:
             else:
                 rows[p] = v
                 break
-    for p in sorted(rows):
-        for q in rows:
-            if q > p and (rows[q] >> p) & 1:
-                rows[q] ^= rows[p]
-    return [rows[p] for p in sorted(rows, reverse=True)]
+    # from the lowest pivot up, clear each row's bits at the lower pivots:
+    # those rows are already reduced, so each touches its own pivot bit only
+    pivots = sorted(rows)
+    below = 0
+    for p in pivots:
+        v = rows[p]
+        hits = v & below
+        while hits:
+            q = hits.bit_length() - 1
+            v ^= rows[q]
+            hits ^= 1 << q
+        rows[p] = v
+        below |= 1 << p
+    return [rows[p] for p in reversed(pivots)]
 
 
 def in_span(basis: list[int], v: int) -> bool:

@@ -286,19 +286,19 @@ def exact_distribution(spec: SubspaceSpec, f: int) -> SyndromeDistribution:
     return distribution_from_basis(build_subspace(spec), f)
 
 
-def _is_xor_subgroup(residues: np.ndarray) -> bool:
-    """Exact subgroup test for a sorted array of distinct residues.
+def _is_xor_subgroup(residues: np.ndarray):
+    """Exact subgroup test for sorted distinct residues, per row of the last axis.
 
     In a sorted XOR-subgroup the elements at indices 2^j form the
     reduced basis and the doubling expansion over them reproduces the
-    whole array in sorted order, so one vector comparison decides
-    closure with no slack.
+    whole array in sorted order (element 0 included), so one vector
+    comparison decides closure with no slack.
     """
-    size = residues.size
-    if size & (size - 1) or residues[0] != 0:
+    size = residues.shape[-1]
+    if size & (size - 1):
         return False
-    basis = residues[[1 << j for j in range(size.bit_length() - 1)]]
-    return bool(np.array_equal(subspace_elements(basis), residues))
+    basis = residues[..., [1 << j for j in range(size.bit_length() - 1)]]
+    return np.all(subspace_elements(basis) == residues, axis=-1)
 
 
 def classify(dist: SyndromeDistribution) -> DistributionClass:

@@ -113,29 +113,34 @@ def hypothesis_test(stat: float, M: int, code: CyclicCode, p: float) -> TestOutc
 
 
 def mean_zero_coeff_prob_exact(
-    code: CyclicCode, block_type: BlockType | SubspaceSpec, f: int, p: float
-) -> float:
+    code: CyclicCode, block_type: BlockType | SubspaceSpec, f: int, p
+):
     """Mean over parity checks of P[check bit = 0], exact.
 
     Check l is the inner product of the block with the shifted dual
     generator X^l * f_dual (the rows of the standard parity-check
     matrix of C(n, f)); its zero probability combines the exact
     subspace count of orthogonal noise-free blocks with the parity law
-    of wt(h_l) independent BSC flips.
+    of wt(h_l) independent BSC flips.  Only that law depends on p, so
+    a sequence of p gets a list of values from one enumeration.
     """
-    check_crossover(p)
+    ps = [p] if np.ndim(p) == 0 else list(p)
+    for q in ps:
+        check_crossover(q)
     spec = spec_for_block(code, block_type)
-    n = spec.n
     basis = np.array(build_subspace(spec), dtype=np.uint64)
-    dim = basis.size
-    total = float(1 << dim)
-    acc = 0.0
-    hs = parity_check_rows(CyclicCode(n, f))
-    for h, zeros in zip(hs, ortho_zero_count(basis, hs).tolist()):
-        a = zeros / total
-        b = (1.0 - (1.0 - 2.0 * p) ** int.bit_count(h)) / 2.0
-        acc += a * (1.0 - b) + (1.0 - a) * b
-    return acc / len(hs)
+    total = float(1 << basis.size)
+    hs = parity_check_rows(CyclicCode(spec.n, f))
+    zeros = ortho_zero_count(basis, hs).tolist()
+    out = []
+    for q in ps:
+        acc = 0.0
+        for h, z in zip(hs, zeros):
+            a = z / total
+            b = (1.0 - (1.0 - 2.0 * q) ** int.bit_count(h)) / 2.0
+            acc += a * (1.0 - b) + (1.0 - a) * b
+        out.append(acc / len(hs))
+    return out[0] if np.ndim(p) == 0 else out
 
 
 def root_divisibility_prob_exact(

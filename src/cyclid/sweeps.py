@@ -13,8 +13,10 @@ subspaces, and every basis word of a (n, n0) row is reduced modulo f
 in one call.  A uniform measure on a subspace is uniform on its residue
 image, so its class, noisy zero mass and eq-23 spread depend on the
 image alone: a row keeps one record per distinct image per (n0, f), and
-every spec instance and boundary component looks its image up there.  The
-checks themselves, and their counts, stay per instance.  Rows run
+every spec instance and boundary component looks its image up there.
+The images are decided in batches of equal rank, one span enumeration
+per batch, and the eq-23 masses are an XOR convolution over each span.
+The checks themselves, and their counts, stay per instance.  Rows run
 serially: Python code between short numpy calls holds the GIL for most
 of a row, so a thread pool measured slower than a serial run.  The
 ``jobs`` keywords are accepted and ignored.
@@ -22,6 +24,7 @@ of a row, so a thread pool measured slower than a serial run.  The
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -29,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from . import gf2
-from ._kernels import ortho_zero_count, rem_many, xor_convolve
+from ._kernels import ortho_zero_count, rem_many, subspace_elements, xor_convolve
 from .codes import CyclicCode, GuardError, span_basis, syndrome_basis
 from .dists import (
     DEGF_DP_GUARD,
@@ -38,6 +41,7 @@ from .dists import (
     SyndromeDistribution,
     Truncation,
     _error_dp_cached,
+    _is_xor_subgroup,
     _rank_class,
     boundary_components,
     build_subspace,
@@ -50,6 +54,7 @@ from .recon import h1_upper_bound, lambda_coeff, mean_zero_coeff_prob_exact, rec
 from .stream import StreamConfig, generate_stream
 
 _EQ23_SUPPORT_CAP = 256
+_SPAN_CHUNK = 1 << 16  # span elements per batch of residue images
 
 
 @dataclass
@@ -104,11 +109,11 @@ def _distinct_specs(code: CyclicCode, n: int) -> list:
 
 
 def _spec_bases(code: CyclicCode, n: int, with_components: bool) -> list:
-    """(spec, basis, component sizes) for each spec of (code, n) within the guards.
+    """(spec, basis, component slices) for each spec of (code, n) within the guards.
 
     Truncations come first, so a row sees a code's truncation class
     before its spans.  ``build_subspace`` concatenates a span's
-    component bases, so the sizes cut its basis into them; they are
+    component bases, so the slices cut its basis into them; they are
     None unless asked for.
     """
     out = []
@@ -119,23 +124,54 @@ def _spec_bases(code: CyclicCode, n: int, with_components: bool) -> list:
             continue
         comps = None
         if with_components and isinstance(spec, BoundarySpan):
-            comps = [len(comp) for comp in boundary_components(spec)]
+            ends = list(itertools.accumulate(len(comp) for comp in boundary_components(spec)))
+            comps = [slice(a, b) for a, b in zip([0, *ends], ends)]
         out.append((spec, basis, comps))
     return out
 
 
-def _image_record(memo: dict, image: tuple, f: int, check_noisy=None) -> tuple:
-    """(class, per-p noisy figures) of one residue image, decided once per memo.
+def _span_classes(span: np.ndarray, deg_f: int) -> list:
+    """``classify``'s rules on each row of enumerated spans, shape (rows, 2^r).
 
-    Component lookups pass no ``check_noisy`` and get no noisy figures; a
-    spec lookup fills them in, so the noisy-uniform check sees spec images
-    only.
+    Rows not already in increasing order are sorted in place.  Distinct
+    elements carry equal counts 2^(dim - r); rank deg f then covers every
+    residue, and otherwise the sorted row must be an XOR subgroup.
+    Anything else is irregular.
     """
-    rec = memo.get(image)
-    if rec is None or (check_noisy and rec[1] is None):
-        dist = distribution_from_basis(list(image), f)
-        rec = memo[image] = (dist.kind, check_noisy(dist) if check_noisy else None)
-    return rec
+    rows, size = span.shape
+    if size == 1:
+        return [DistributionClass.DEGENERATE] * rows
+    if not np.all(span[:, 1:] > span[:, :-1]):
+        span.sort(axis=1)
+    distinct = np.all(span[:, 1:] != span[:, :-1], axis=1)
+    full = DistributionClass.UNIFORM
+    if size != 1 << deg_f:
+        full = DistributionClass.RESTRICTED_UNIFORM
+        distinct &= _is_xor_subgroup(span)
+    return [full if ok else DistributionClass.IRREGULAR for ok in distinct.tolist()]
+
+
+def _decide_images(images: list, f: int, check_noisy=None) -> dict:
+    """image -> (class, per-p noisy figures or None), in batches of equal rank r.
+
+    A batch of at most ``_SPAN_CHUNK`` span elements (a rank-20 image goes
+    alone) is enumerated in one pass from reduced bases in increasing pivot
+    order, so each row comes out sorted.  ``check_noisy`` gets each batch.
+    """
+    by_rank: dict = {}
+    for image in images:
+        by_rank.setdefault(len(image), []).append(image)
+    out = {}
+    for r, group in by_rank.items():
+        step = max(1, _SPAN_CHUNK >> r)
+        for lo in range(0, len(group), step):
+            batch = group[lo : lo + step]
+            bases = np.array(batch, dtype=np.intp).reshape(len(batch), r)[:, ::-1]
+            span = subspace_elements(bases)
+            kinds = _span_classes(span, f.bit_length() - 1)
+            noisy = check_noisy(f, batch, span, kinds) if check_noisy else [None] * len(batch)
+            out.update(zip(batch, zip(kinds, noisy)))
+    return out
 
 
 def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: bool):
@@ -172,28 +208,42 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
         return res  # no error DP either
     # f outside n0: each error DP is built once per (n, f, p) and shared by the n0
     for f in divisors:
+        if f.bit_length() - 1 > DEGF_DP_GUARD:
+            continue  # no dense residue arrays: its instances are skipped
         # p -> (error residue masses, Theorem-5 bound on the zero mass)
         noise = {}
-        if with_noise and f.bit_length() - 1 <= DEGF_DP_GUARD:
+        if with_noise:
             f_code = CyclicCode(n, f)
             for p in p_list:
                 noise[p] = (_error_dp_cached(n, f, p)[0], h1_upper_bound(f_code, p))
         check_noisy = partial(_check_noisy, res, n, noise, uniform_verified) if noise else None
         for n0, code_specs, words, ends in row:
-            # residue image -> record for the codes of this (n0, f); dropped
-            # with it, so the row holds one (n0, f)'s records at a time
-            memo: dict = {}
-            # the residues of every spec basis of the n0, in spec order
+            # 1. every instance's residue image, and its components' images
             residues = iter(np.split(rem_many(words, f), ends))
+            # (code, [(spec, image, component images, None without components)])
+            instances = []
             for code, spec_bases in code_specs:
-                trunc_kind = None
+                items = []
                 for spec, _, comps in spec_bases:
                     words_mod_f = next(residues).tolist()
-                    image = tuple(span_basis(words_mod_f))
-                    try:
-                        kind, noisy = _image_record(memo, image, f, check_noisy)
-                    except GuardError:
-                        continue
+                    parts = comps and [tuple(span_basis(words_mod_f[c])) for c in comps]
+                    items.append((spec, tuple(span_basis(words_mod_f)), parts))
+                instances.append((code, items))
+            # 2. each distinct image decided once, for this (n0, f) only;
+            # component images get a class and no noisy figures
+            spec_images = dict.fromkeys(im for _, items in instances for _, im, _ in items)
+            records = _decide_images(list(spec_images), f, check_noisy)
+            comp_only = dict.fromkeys(
+                im for _, items in instances for *_, parts in items for im in parts or ()
+                if im not in records
+            )
+            if comp_only:
+                records.update(_decide_images(list(comp_only), f))
+            # 3. the checks, per instance in spec order
+            for code, items in instances:
+                trunc_kind = None
+                for spec, image, parts in items:
+                    kind, noisy = records[image]
                     pred = predict_class(code, spec, f)
                     res["cross_validation"].checked += 1
                     if kind is not pred:
@@ -224,10 +274,8 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
                         res["theorem2"].checked += 1
                         if kind is not DistributionClass.UNIFORM:
                             res["theorem2"].failures.append((n0, code.g, n, spec, f))
-                    if comps is not None:
-                        _check_theorem3(
-                            res["theorem3"], code, spec, f, kind, words_mod_f, comps, memo
-                        )
+                    if parts is not None:
+                        _check_theorem3(res["theorem3"], code, spec, f, kind, parts, records)
                     for (p, (_, bound)), (zero, spread) in zip(noise.items(), noisy or ()):
                         if not correct:
                             res["theorem5_bound"].checked += 1
@@ -241,28 +289,21 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
     return res
 
 
-def _check_theorem3(result, code, spec, f, kind, words_mod_f, comps, memo):
+def _check_theorem3(result, code, spec, f, kind, parts, records):
     """Component classes (each separately enumerated) against the composite.
 
-    The span's reduced basis words are its components' in turn, cut by
-    the sizes ``comps``.  The provable direction is that all-uniform
-    components (after dropping degenerate ones) give a uniform
-    composite.  The literal converse -- any restricted component forces
-    a restricted composite -- fails exactly when the component image
-    subgroups sum to the full residue space, so the expected class
-    always comes from the rank of the combined supports; violations of
-    the literal converse are counted as a note.
+    ``parts`` are the residue images of the span's components.  The
+    provable direction is that all-uniform components (after dropping
+    degenerate ones) give a uniform composite.  The literal converse --
+    any restricted component forces a restricted composite -- fails
+    exactly when the component image subgroups sum to the full residue
+    space, so the expected class always comes from the rank of the
+    combined supports; violations of the literal converse are counted
+    as a note.
     """
-    classes = []
-    gens: list[int] = []
-    start = 0
-    for size in comps:
-        image = tuple(span_basis(words_mod_f[start : start + size]))
-        start += size
-        classes.append(_image_record(memo, image, f)[0])
-        gens.extend(image)
+    classes = [records[image][0] for image in parts]
     live = [c for c in classes if c is not DistributionClass.DEGENERATE]
-    expect = _rank_class(gens, f.bit_length() - 1)
+    expect = _rank_class([g for image in parts for g in image], f.bit_length() - 1)
     result.checked += 1
     if kind is not expect:
         result.failures.append((code.g, spec, f, f"expected={expect}", str(kind)))
@@ -278,36 +319,44 @@ def _check_theorem3(result, code, spec, f, kind, words_mod_f, comps, memo):
         )
 
 
-def _check_noisy(res, n, noise, uniform_verified, dist) -> list:
-    """Per p, the noisy zero mass and the eq-23 spread (restricted supports
-    of at most 256 points, else None) of a noise-free law.  A uniform law
-    must stay uniform: once per (n, f, p), as all uniform laws are equal.
+def _check_noisy(res, n, noise, uniform_verified, f, images, span, kinds) -> list:
+    """Per image and p, the noisy zero mass and the eq-23 spread (None unless
+    restricted with at most 256 points) of a batch of noise-free laws.
+
+    Row E of ``span`` is a support in increasing order, mass 1/2^r a point.
+    A restricted row is an XOR subgroup whose entry c is combination c of its
+    entries at indices 2^j, so E[i] ^ E[j] = E[i ^ j] and its noisy masses are
+    the XOR convolution of the uniform masses with the error masses at E.  A
+    uniform law must stay uniform: once per (n, f, p), as all are equal.
     """
-    f, deg_f = dist.f, dist.deg_f
-    sup = dist.residues.astype(np.intp)
-    # eq. 23 gathers the noisy mass at every support point in one go:
-    # shifts[i, j] = sup[i] ^ sup[j], at most 256 x 256 indices
-    shifts = None
-    if (
-        dist.kind is DistributionClass.RESTRICTED_UNIFORM
-        and dist.support_size() <= _EQ23_SUPPORT_CAP
-    ):
-        shifts = np.bitwise_xor.outer(sup, sup)
-    out = []
-    for p, (dense, _) in noise.items():
-        zero = float(np.dot(dist.probs, dense[sup]))
-        spread = None if shifts is None else float(np.ptp(dist.probs @ dense[shifts]))
-        out.append((zero, spread))
-        if dist.kind is DistributionClass.UNIFORM and (f, p) not in uniform_verified:
-            uniform_verified.add((f, p))
-            noisy = SyndromeDistribution(
-                f,
-                np.arange(1 << deg_f, dtype=np.uint64),
-                xor_convolve(dist.dense_probs(), dense),
-            )
-            res["noisy_uniform"].checked += 1
-            if noisy.kind is not DistributionClass.UNIFORM:
-                res["noisy_uniform"].failures.append((n, f, p, str(noisy.kind)))
+    size = span.shape[1]
+    restricted = [kind is DistributionClass.RESTRICTED_UNIFORM for kind in kinds]
+    eq23 = np.array(restricted) & (size <= _EQ23_SUPPORT_CAP)
+    out = [[] for _ in images]
+    for dense, _ in noise.values():
+        g = dense[span]  # one law at a time: never a stack of them
+        spreads = np.zeros(len(images))
+        if eq23.any():
+            probs = np.full(size, 1.0 / size)
+            spreads[eq23] = np.ptp(xor_convolve(probs, g[eq23]), axis=1)
+        zeros = (g.sum(axis=1) / size).tolist()
+        for row, zero, spread, e in zip(out, zeros, spreads.tolist(), eq23):
+            row.append((zero, spread if e else None))
+    del g
+    uniform = [image for image, kind in zip(images, kinds) if kind is DistributionClass.UNIFORM]
+    pending = [p for p in noise if (f, p) not in uniform_verified] if uniform else []
+    if pending:
+        dist = distribution_from_basis(list(uniform[0]), f)
+    for p in pending:
+        uniform_verified.add((f, p))
+        noisy = SyndromeDistribution(
+            f,
+            np.arange(1 << dist.deg_f, dtype=np.uint64),
+            xor_convolve(dist.dense_probs(), noise[p][0]),
+        )
+        res["noisy_uniform"].checked += 1
+        if noisy.kind is not DistributionClass.UNIFORM:
+            res["noisy_uniform"].failures.append((n, f, p, str(noisy.kind)))
     return out
 
 
@@ -345,7 +394,8 @@ def sweep_mean_zero_coeff(
 ) -> SweepResult:
     """Mean zero-coefficient probability is exactly 1/2 whenever n < n0.
 
-    ``jobs`` is ignored: the rows run serially.
+    Each (code, spec, f) is enumerated once for every p.  ``jobs`` is
+    ignored: the rows run serially.
     """
     result = SweepResult("mean_zero_coeff_half")
     codes = nondegenerate_codes(n0)
@@ -356,8 +406,8 @@ def sweep_mean_zero_coeff(
                 continue
             for code, specs in code_specs:
                 for spec in specs:
-                    for p in p_list:
-                        val = mean_zero_coeff_prob_exact(code, spec, f, p)
+                    vals = mean_zero_coeff_prob_exact(code, spec, f, p_list)
+                    for p, val in zip(p_list, vals):
                         result.checked += 1
                         if abs(val - 0.5) > 1e-12:
                             result.failures.append((code.g, n, spec, f, p, val))

@@ -207,6 +207,31 @@ def test_span_helpers():
     assert span_basis([0, 0]) == []
 
 
+def _brute_force_rref(vectors) -> list[int]:
+    # the span by enumeration; its reduced basis row at pivot p is the one
+    # element with leading bit p and no bit at any other pivot
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    pivots = {v.bit_length() - 1 for v in span if v}
+    mask = sum(1 << p for p in pivots)
+    rows = []
+    for p in sorted(pivots, reverse=True):
+        (row,) = [v for v in span if v.bit_length() - 1 == p and not v & mask & ~(1 << p)]
+        rows.append(row)
+    return rows
+
+
+def test_span_basis_is_reduced_echelon_form():
+    rng = np.random.default_rng(24)
+    for _ in range(400):
+        bits = int(rng.integers(1, 25))
+        vectors = rng.integers(0, 1 << bits, size=int(rng.integers(0, 11))).tolist()
+        if vectors and rng.random() < 0.3:
+            vectors.append(vectors[0] ^ vectors[-1])  # a dependent vector
+        assert span_basis(vectors) == _brute_force_rref(vectors), vectors
+
+
 def test_inner_product_counting_identity():
     # count of codewords orthogonal to h is 2^k iff h is in the dual
     rng = np.random.default_rng(0)

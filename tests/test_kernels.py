@@ -32,6 +32,15 @@ def test_subspace_elements():
     assert K.subspace_elements([]).tolist() == [0]
 
 
+def test_subspace_elements_rows_match_single_spans():
+    for dim in (0, 1, 6):
+        bases = rng.integers(0, 1 << 20, size=(5, dim), dtype=np.int64)
+        spans = K.subspace_elements(bases)
+        assert spans.shape == (5, 1 << dim)
+        for basis, span in zip(bases, spans):
+            assert span.tolist() == K.subspace_elements(basis).tolist()
+
+
 def test_residue_counts_dense_against_naive():
     for dim in (0, 1, 5, 12):
         for deg_f in (1, 8, 16):
@@ -178,3 +187,13 @@ def test_xor_convolve_uniform_fixed_point():
     e /= e.sum()
     out = K.xor_convolve(u.copy(), e)
     assert float(out.max()) == float(out.min())
+
+
+def test_xor_convolve_rows_match_single_vectors():
+    # one vector against a batch of rows, as the eq-23 masses use it
+    a = rng.random(64)
+    rows = rng.random((4, 64))
+    out = K.xor_convolve(a, rows)
+    assert out.shape == (4, 64)
+    for row, got in zip(rows, out):
+        assert np.array_equal(got, K.xor_convolve(a, row))

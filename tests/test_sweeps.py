@@ -1,7 +1,12 @@
+from functools import partial
+
+import numpy as np
 import pytest
 
 from cyclid import dists, gf2, sweeps
-from cyclid.dists import _error_dp_cached
+from cyclid.codes import span_basis
+from cyclid.dists import DistributionClass, _error_dp_cached, distribution_from_basis
+from cyclid.recon import mean_zero_coeff_prob_exact
 from cyclid.sweeps import (
     _sweep_n_row,
     nondegenerate_codes,
@@ -64,15 +69,17 @@ def test_noisy_checks_n0_7(n0_7_sweeps):
 
 @pytest.fixture(scope="module")
 def rows_16_17():
-    # the benchmark's sweep rows, counting the distributions they build
-    builds = []
-    build = sweeps.distribution_from_basis
+    # the benchmark's sweep rows, counting the residue images they decide
+    decided = []
+    decide = sweeps._decide_images
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweeps, "distribution_from_basis", lambda *a: builds.append(1) or build(*a))
+        mp.setattr(
+            sweeps, "_decide_images", lambda images, *a: decided.append(len(images)) or decide(images, *a)
+        )
         res = run_distribution_sweeps(
             n0_list=(7, 15), p_list=(0.01, 0.05, 0.1), with_components=False, n_range=(16, 17)
         )
-    return res, len(builds)
+    return res, sum(decided)
 
 
 def test_rows_16_17_totals(rows_16_17):
@@ -98,15 +105,103 @@ def test_rows_16_17_build_each_image_once(rows_16_17):
 def test_components_add_no_noisy_work(monkeypatch):
     # noisy figures are computed once per distinct spec image of an (n0, f);
     # component images are classified but never get noisy figures
-    calls = []
+    images = []
     check_noisy = sweeps._check_noisy
-    monkeypatch.setattr(sweeps, "_check_noisy", lambda *a: calls.append(1) or check_noisy(*a))
+    monkeypatch.setattr(
+        sweeps, "_check_noisy", lambda *a: images.append(len(a[5])) or check_noisy(*a)
+    )
     counts = []
     for with_components in (False, True):
-        calls.clear()
+        images.clear()
         run_distribution_sweeps(n0_list=(7,), with_components=with_components, n_range=(8, 12))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append(sum(images))
+    assert counts == [426, 426]
+
+
+def _per_image_record(image, f, noise):
+    """(class, per-p (zero mass, eq-23 spread)) of one image, from its law."""
+    dist = distribution_from_basis(list(image), f)
+    sup = dist.residues.astype(np.intp)
+    eq23 = dist.kind is DistributionClass.RESTRICTED_UNIFORM and sup.size <= 256
+    figures = [
+        (
+            float(np.dot(dist.probs, dense[sup])),
+            float(np.ptp(dist.probs @ dense[np.bitwise_xor.outer(sup, sup)])) if eq23 else None,
+        )
+        for dense, _ in noise.values()
+    ]
+    return dist.kind, figures
+
+
+def _assert_records_match(records, f, noise):
+    for image, (kind, figures) in records.items():
+        want_kind, want = _per_image_record(image, f, noise)
+        assert kind is want_kind, (image, f)
+        for (zero, spread), (want_zero, want_spread) in zip(figures, want):
+            assert abs(zero - want_zero) <= 1e-12
+            assert (spread is None) is (want_spread is None)
+            if spread is not None:
+                assert abs(spread - want_spread) <= 1e-12
+
+
+def test_batched_records_equal_per_image_ones(monkeypatch):
+    # every distinct image of n0 = 7 on rows 2..16, with noise: the batched
+    # class, zero mass and eq-23 spread against each image's own law
+    decide = sweeps._decide_images
+    seen = []  # (f, records) of the spec images of one row
+
+    def spy(images, f, *args):
+        seen.append((f, decide(images, f, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(sweeps, "_decide_images", spy)
+    p_list = (0.01, 0.05, 0.1)
+    decided = 0
+    for n in range(2, 17):
+        seen.clear()
+        res = _sweep_n_row(n, (7,), p_list, True, False)
+        assert all(r.ok for r in res.values())
+        for f, records in seen:
+            decided += len(records)
+            noise = {p: (_error_dp_cached(n, f, p)[0], None) for p in p_list}
+            _assert_records_match(records, f, noise)
+    assert decided > 1000
+
+
+def test_span_classes_sort_rows_and_flag_repeats():
+    # rows from an unreduced basis come out of order and are sorted in place;
+    # a repeated element (a dependent basis) or a non-subgroup is irregular
+    span = np.array([[0, 3, 1, 2], [0, 1, 1, 0], [0, 1, 2, 4]])
+    kinds = sweeps._span_classes(span, 3)
+    assert kinds == [
+        DistributionClass.RESTRICTED_UNIFORM,
+        DistributionClass.IRREGULAR,
+        DistributionClass.IRREGULAR,
+    ]
+    assert span.tolist() == [[0, 1, 2, 3], [0, 0, 1, 1], [0, 1, 2, 4]]
+    assert sweeps._span_classes(np.array([[0, 3, 1, 2]]), 2) == [DistributionClass.UNIFORM]
+    assert sweeps._span_classes(np.zeros((2, 1)), 2) == [DistributionClass.DEGENERATE] * 2
+
+
+def test_rank_group_over_several_chunks():
+    # 300 distinct rank-8 images hold 300 * 256 span elements, more than one
+    # batch: every batch must give the same records as the per-image route
+    n, f = 13, gf2.div(gf2.xn1(13), 0b11)  # the degree-12 factor of X^13+1
+    rand = np.random.default_rng(5)
+    images = set()
+    while len(images) < 300:
+        image = tuple(span_basis(rand.integers(0, 1 << 12, size=8).tolist()))
+        if len(image) == 8:
+            images.add(image)
+    images = sorted(images)
+    assert len(images) << 8 > sweeps._SPAN_CHUNK
+    noise = {p: (_error_dp_cached(n, f, p)[0], 1.0) for p in (0.01, 0.1)}
+    res = {"noisy_uniform": sweeps.SweepResult("noisy_uniform")}
+    check_noisy = partial(sweeps._check_noisy, res, n, noise, set())
+    records = sweeps._decide_images(images, f, check_noisy)
+    assert list(records) == images
+    assert {kind for kind, _ in records.values()} == {DistributionClass.RESTRICTED_UNIFORM}
+    _assert_records_match(records, f, noise)
 
 
 def test_guarded_row_builds_no_error_dp():
@@ -129,6 +224,20 @@ def test_row_shared_by_two_n0_builds_each_error_dp_once(monkeypatch):
     res = _sweep_n_row(16, (7, 15), (0.01, 0.05, 0.1), True, False)
     assert len(builds) == 15 * 3
     assert res["theorem5_bound"].checked > 0 and all(r.ok for r in res.values())
+
+
+def test_mean_check_for_all_p_equals_scalar_calls():
+    # one enumeration for every p gives bit-identical values to a call per p
+    ps = (0.0, 0.01, 0.05)
+    for code in nondegenerate_codes(9):
+        for n in range(2, 9):
+            for f in gf2.divisors_xn1(n):
+                if not 1 <= f.bit_length() - 1 < n:
+                    continue
+                for spec in sweeps._distinct_specs(code, n):
+                    scalar = [mean_zero_coeff_prob_exact(code, spec, f, p) for p in ps]
+                    assert all(type(v) is float for v in scalar)
+                    assert mean_zero_coeff_prob_exact(code, spec, f, ps) == scalar
 
 
 def test_lemma_suites_small():
