@@ -42,16 +42,16 @@ def subspace_elements(basis, dtype=np.intp) -> np.ndarray:
 
     A basis of shape (rows, dim) gives one span per row, of shape (rows, 2^dim).
     """
-    # doubled in place in one buffer: element h + i is element i ^ basis[j]
+    # doubled in place in one buffer: element h + i is element i ^ basis[j];
+    # several spans are built down the first axis, so one slice serves both
     basis = np.asarray(basis)
-    span = np.zeros((*basis.shape[:-1], 1 << basis.shape[-1]), dtype=dtype)
-    # one span's words as Python ints; several spans' as one column per word
-    words = basis.tolist() if basis.ndim == 1 else basis.T.astype(dtype)[..., None]
+    span = np.zeros((1 << basis.shape[-1], *basis.shape[:-1]), dtype=dtype)
+    words = basis.tolist() if basis.ndim == 1 else basis.T.astype(dtype)
     h = 1
     for r in words:
-        np.bitwise_xor(span[..., :h], r, out=span[..., h : 2 * h])
+        np.bitwise_xor(span[:h], r, out=span[h : 2 * h])
         h *= 2
-    return span
+    return span if basis.ndim == 1 else np.ascontiguousarray(span.T)
 
 
 def residue_counts_dense(res_basis: np.ndarray, deg_f: int) -> np.ndarray:

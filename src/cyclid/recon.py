@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -113,8 +114,8 @@ def hypothesis_test(stat: float, M: int, code: CyclicCode, p: float) -> TestOutc
 
 
 def mean_zero_coeff_prob_exact(
-    code: CyclicCode, block_type: BlockType | SubspaceSpec, f: int, p
-):
+    code: CyclicCode, block_type: BlockType | SubspaceSpec, f: int, p: float | Sequence[float]
+) -> float | list[float]:
     """Mean over parity checks of P[check bit = 0], exact.
 
     Check l is the inner product of the block with the shifted dual
