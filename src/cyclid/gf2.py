@@ -15,10 +15,13 @@ Two text forms are supported at the boundary:
 * human form: ``"x^3+x+1"`` (case-insensitive, '+'-separated monomials,
   ``"1"`` for the constant term).
 
-Factorization of X^n + 1 enumerates irreducibles by trial division.
-That is fast while every factor of X^n + 1 has small degree, but slow
-when one factor is large: X^47 + 1 has two factors of degree 23, and
-factor_xn1(47) takes seconds (9-18 s measured on a 2-vCPU machine).
+X^m + 1, m odd, is factored by splitting with idempotents: those of
+GF(2)[X]/(X^m + 1) are the sums of the cyclotomic-coset indicators
+c(X) = sum_{j in C} X^j, C a coset of 2 mod m (MacWilliams & Sloane 1977,
+ch. 8).  As c^2 = c, c is 0 or 1 modulo each irreducible factor, so
+F = gcd(F, c) * gcd(F, c + 1), and some indicator separates any two
+factors.  This is Berlekamp's algorithm with its basis known in advance:
+deterministic, and milliseconds for every n <= 64.
 """
 
 from __future__ import annotations
@@ -153,41 +156,30 @@ def factor_xn1(n: int) -> tuple[tuple[int, int], ...]:
 
     Factors are sorted canonically (degree, then coefficient bits as an
     integer, which is plain integer order).  For n = 2^a * m with m odd,
-    X^n + 1 = (X^m + 1)^(2^a), so only the odd part is factored.
+    X^n + 1 = (X^m + 1)^(2^a), so only the odd part is factored: each
+    coset indicator c of 2 mod m splits every factor F into gcd(F, c) and
+    gcd(F, c + 1), keeping the parts of degree >= 1 (module docstring).
     """
     if not 1 <= n <= MAX_XN1_N:
         raise ValueError(f"n must be in [1, {MAX_XN1_N}]")
-    m = n
-    a = 0
-    while m % 2 == 0:
-        m //= 2
-        a += 1
-    poly = xn1(m)
-    factors = []
-    cand = 0b11
-    while (cand.bit_length() - 1) * 2 <= poly.bit_length() - 1:
-        mult = 0
-        while rem(poly, cand) == 0:
-            poly = div(poly, cand)
-            mult += 1
-        if mult:
-            factors.append((cand, mult))
-        cand += 2
-    if poly != 1:
-        factors.append((poly, 1))
-    return tuple((f, mult * (1 << a)) for f, mult in sorted(factors))
+    a = (n & -n).bit_length() - 1
+    m = n >> a
+    factors, seen = [xn1(m)], set()
+    for j in range(1, m):
+        c = 0
+        while j not in seen:
+            seen.add(j)
+            c |= 1 << j
+            j = 2 * j % m
+        if c:
+            factors = [h for F in factors for h in (gcd(F, c), gcd(F, c ^ 1)) if h > 1]
+    return tuple((f, 1 << a) for f in sorted(factors))
 
 
 @functools.lru_cache(maxsize=None)
 def divisors_xn1(n: int) -> tuple[int, ...]:
     """All monic divisors of X^n + 1, including 1 and X^n + 1, sorted."""
-    divs = [1]
-    for f, mult in factor_xn1(n):
-        powers = [1]
-        for _ in range(mult):
-            powers.append(mul(powers[-1], f))
-        divs = [mul(d, p) for d in divs for p in powers]
-    return tuple(sorted(divs))
+    return divisors_of(xn1(n), n)
 
 
 def divisors_of(f: int, n: int) -> tuple[int, ...]:

@@ -200,10 +200,6 @@ class ReconReport:
         return f"n={n} s={s} g={gf2.format_poly_bits(g)}"
 
 
-def _candidate_factors(n: int) -> list[int]:
-    return [f for f, _ in gf2.factor_xn1(n)]
-
-
 # --- one method: statistic, per-candidate outcome, score of one (n, s) ---------
 
 
@@ -243,36 +239,30 @@ def _zero_fracs(n: int, codes: list[CyclicCode], nbits: int):
     """Each code's fraction of n-bit words divisible by its generator.
 
     w mod f is GF(2)-linear in w, so column b packs X^b mod f for every
-    generator side by side (distinct factors of X^n+1 have degrees summing
-    to the odd part of n, so one word of the narrowest dtype holds them; a
-    wider set gets a word per code).  A word's packed residue is the XOR of
-    lookups in spans of w columns: w = n where that table takes at most as
-    many bytes as the stream has bits, else 11.  Each stat is count / M.
+    generator side by side in one word of the narrowest dtype.  The codes
+    are one divisor of X^n+1 or the distinct factors of X^n+1, whose
+    degrees sum to the odd part of n, so they fit 63 bits.  A word's
+    packed residue is the XOR of lookups in spans of w columns: w = n
+    where that table takes at most as many bytes as the stream has bits,
+    else 11.  Each stat is count / M.
     """
-    groups = [codes] if sum(c.n - c.k for c in codes) <= 63 else [[c] for c in codes]
     units = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-    lookups = []  # (tables, w, field masks) per packed word
-    for group in groups:
-        cols, fields, o = np.zeros(n, dtype=np.uint64), [], 0
-        for c in group:
-            cols |= rem_many(units, c.g) << np.uint64(o)
-            fields.append(((1 << (c.n - c.k)) - 1) << o)
-            o += c.n - c.k
-        dtype = np.min_scalar_type((1 << o) - 1)
-        w = n if (1 << n) * dtype.itemsize <= nbits else _CHUNK
-        tables = [subspace_elements(cols[b : b + w], dtype) for b in range(0, n, w)]
-        lookups.append((tables, w, fields))
+    cols, fields, o = np.zeros(n, dtype=np.uint64), [], 0
+    for c in codes:
+        cols |= rem_many(units, c.g) << np.uint64(o)
+        fields.append(((1 << (c.n - c.k)) - 1) << o)
+        o += c.n - c.k
+    dtype = np.min_scalar_type((1 << o) - 1)
+    w = n if (1 << n) * dtype.itemsize <= nbits else _CHUNK
+    tables = [subspace_elements(cols[b : b + w], dtype) for b in range(0, n, w)]
+    low = (1 << w) - 1
 
     def fracs(polys: np.ndarray) -> list[float]:
         v = polys.view(np.intp)  # words are below 2^n <= 2^63
-        out = []
-        for tables, w, fields in lookups:
-            low = (1 << w) - 1
-            res = np.take(tables[0], v if len(tables) == 1 else v & low)
-            for c in range(1, len(tables)):
-                res ^= np.take(tables[c], (v >> (c * w)) & low)
-            out += [float((v.size - np.count_nonzero(res & f)) / v.size) for f in fields]
-        return out
+        res = np.take(tables[0], v if len(tables) == 1 else v & low)
+        for c in range(1, len(tables)):
+            res ^= np.take(tables[c], (v >> (c * w)) & low)
+        return [float((v.size - np.count_nonzero(res & f)) / v.size) for f in fields]
 
     return fracs
 
@@ -297,9 +287,10 @@ def reconstruct(
 ) -> ReconReport:
     """Search lengths, offsets, and irreducible factors for the sent code.
 
-    zero-syndrome: every candidate (n, s, f) with f an irreducible
-    factor of X^n+1 is hypothesis-tested; a candidate (n, s) scores the
-    sum of M * kl_lower_bound over its accepted factors, and the
+    zero-syndrome: every candidate (n, s, f) with f a distinct
+    irreducible factor of X^n+1 is hypothesis-tested (``gf2.factor_xn1``
+    factors every n <= 63 in milliseconds); a candidate (n, s) scores
+    the sum of M * kl_lower_bound over its accepted factors, and the
     estimated generator is the product of the accepted factors.  No
     acceptance anywhere means no code detected.
 
@@ -339,7 +330,7 @@ def reconstruct(
     # zero bits past the end give every offset's last block a following aligned word
     padded = np.concatenate([bits, np.zeros(n_max, dtype=np.uint8)])
     for n in range(n_min, n_max + 1):
-        codes = [CyclicCode(n, f) for f in _candidate_factors(n)]
+        codes = [CyclicCode(n, f) for f, _ in gf2.factor_xn1(n)]
         stats_of = stats_at(n, codes, bits.size)
         # every offset's blocks come from the blocks at offset 0, packed once
         aligned = blocks_to_polys(segment(padded[: bits.size + n], n, 0))

@@ -20,6 +20,13 @@ def test_factor(capsys):
     assert "11 (x+1) x4" in out
     code, out, _ = run(capsys, "factor", "--n", "1")
     assert "11 (x+1) x1" in out
+    # X^61+1 = (x+1) * Phi_61, irreducible since 2 is primitive mod 61
+    code, out, _ = run(capsys, "factor", "--n", "61")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 3
+    assert lines[0] == "11 (x+1) x1"
+    assert lines[1].startswith("1" * 61 + " (x^60+x^59+") and lines[1].endswith(" x1")
+    assert lines[2] == "divisors: 4"
 
 
 def test_dist_restricted_example(capsys):

@@ -189,12 +189,37 @@ def test_factor_xn1_examples():
     assert gf2.factor_xn1(1) == ((P("x+1"), 1),)
 
 
+def cyclotomic_coset_sizes(m):
+    # sizes of the cosets {j, 2j, 4j, ...} of 2 mod m, for odd m
+    seen, sizes = set(), []
+    for j in range(m):
+        size = 0
+        while j not in seen:
+            seen.add(j)
+            j = 2 * j % m
+            size += 1
+        if size:
+            sizes.append(size)
+    return sorted(sizes)
+
+
 def test_factor_xn1_reconstructs_product():
-    for n in range(1, 41):
+    # the product is X^n+1 and the degrees are the coset sizes of 2 mod the
+    # odd part, which together prove every factor irreducible; trial
+    # division confirms it independently up to degree 24
+    for n in range(1, 65):
+        odd = n
+        while odd % 2 == 0:
+            odd //= 2
+        factors = gf2.factor_xn1(n)
+        assert len({f for f, _ in factors}) == len(factors)
+        assert sorted(f.bit_length() - 1 for f, _ in factors) == cyclotomic_coset_sizes(odd)
         prod = 1
-        for f, mult in gf2.factor_xn1(n):
-            assert gf2.is_irreducible(f)
+        for f, mult in factors:
+            assert mult == n // odd
             assert n % gf2.order(f) == 0
+            if f.bit_length() - 1 <= 24:
+                assert gf2.is_irreducible(f)
             for _ in range(mult):
                 prod = gf2.mul(prod, f)
         assert prod == gf2.xn1(n)

@@ -255,16 +255,10 @@ def test_reconstruct_n58_gives_every_outcome_p0():
     assert all(o.p0 is not None and 0.0 < o.p0 <= 1.0 for o in rep.outcomes)
 
 
-def test_reconstruct_wide_blocks_zero_counts(monkeypatch):
+def test_reconstruct_wide_blocks_zero_counts():
     # 57..63-bit blocks at every offset, where the packed words of two
-    # neighbouring aligned blocks span up to 125 bits.  X^59+1 and X^61+1
-    # are too slow to factor by trial division, so each length is tested
-    # against x+1, x^d+1 for its least divisor d > 1 and (X^n+1)/(x+1).
-    def factors(n):
-        d = next(d for d in range(2, n + 1) if n % d == 0)
-        return sorted({0b11, (1 << d) | 1, gf2.div(gf2.xn1(n), 0b11)} - {gf2.xn1(n)})
-
-    monkeypatch.setattr("cyclid.recon._candidate_factors", factors)
+    # neighbouring aligned blocks span up to 125 bits, against every real
+    # factor of each length (X^59+1 and X^61+1 each have one of degree n-1)
     rng = np.random.Generator(np.random.Philox(9))
     bits = rng.integers(0, 2, size=63 * 12 + 40, dtype=np.uint8)
     rep = reconstruct(bits, 57, 63, 0.02)
@@ -274,6 +268,14 @@ def test_reconstruct_wide_blocks_zero_counts(monkeypatch):
         for o in group:
             zeros = sum(gf2.rem(v, o.f) == 0 for v in polys)
             assert (o.M, o.stat) == (len(polys), zeros / len(polys))
+
+
+def test_reconstruct_answers_every_length_to_63():
+    # every accepted length factors quickly, so the full range completes
+    cfg = StreamConfig(hamming7(), s0=2, p=0.02, blocks=3000, seed=5)
+    rep = reconstruct(generate_stream(cfg), 3, 63, 0.02)
+    assert {o.n for o in rep.outcomes} == set(range(3, 64))
+    assert rep.winner == (7, 2, P("x^3+x+1"))
 
 
 def test_zero_counts_pack_every_factor_and_match_direct_counts(monkeypatch):
