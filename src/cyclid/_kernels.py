@@ -5,10 +5,10 @@ batch of equal-rank spans in one pass: the residue tally and the weight
 distribution are one ``bincount`` over its output, the orthogonal counts
 are one parity count per h over one enumeration, the sweep's batches of
 residue images are its sorted rows, and block residues are lookups in
-spans of residues X^i mod f: at most six 11-bit lookups per 63-bit word
-in ``rem_many``, over slices of 32 768 words through two reused scratch
-buffers, and in ``recon`` the residues modulo all factors of a length
-packed side by side in one word.
+spans of columns.  One routine, ``_xor_lookup``, builds those lookup
+tables and maps words to the XOR of their columns: ``rem_many`` applies
+it to the residues X^i mod f, 11 columns per table, and ``recon`` to the
+residues modulo all factors of a length packed side by side in one word.
 
 All polynomial arguments are bit-packed into 64-bit words (coefficient
 of X^i in bit i).  Callers keep words below 2^63 (``WORD_GUARD_N`` in
@@ -33,8 +33,7 @@ __all__ = [
 # perfbench/one_pass.py reads cyclid.BACKEND into its environment stamp
 BACKEND = "numpy"
 
-_CHUNK = 11  # bits per residue lookup: a 2048-word table (16 KB)
-_SLICE = 1 << 15  # words per pass of `rem_many` through its scratch buffers
+_CHUNK = 11  # columns per lookup table of `rem_many`: 2048 words (16 KB)
 
 
 def subspace_elements(basis, dtype=np.intp) -> np.ndarray:
@@ -82,44 +81,45 @@ def ortho_zero_count(basis: np.ndarray, h):
     return np.array([count(int(x)) for x in np.ravel(h)], dtype=np.int64)
 
 
+def _xor_lookup(cols, w: int, dtype):
+    """A map from words to the XOR of the columns at their set bits.
+
+    Each run of w columns gets one lookup table, the span of its columns
+    in combination order, so a word costs one gather per run, indexed by
+    its bits in that run (Sarwate's CRC tables, CACM 1988).  The words
+    must be 64-bit and below 2^len(cols); the tables have `dtype`.
+    """
+    tables = [subspace_elements(cols[b : b + w], dtype) for b in range(0, len(cols) or 1, w)]
+
+    def xor_of(words: np.ndarray) -> np.ndarray:
+        # each run is masked to its own table, so a set bit 63 (a negative
+        # intp) still indexes inside it
+        v = words.view(np.intp)
+        out = np.take(tables[0], v if len(tables) == 1 else v & (tables[0].size - 1))
+        for c in range(1, len(tables)):
+            out ^= np.take(tables[c], (v >> (c * w)) & (tables[c].size - 1))
+        return out
+
+    return xor_of
+
+
 def rem_many(vals: np.ndarray, f: int) -> np.ndarray:
     """Each word of `vals` reduced modulo f, as uint64 of the same shape.
 
-    w mod f is GF(2)-linear in the bits of w: it is the low deg f bits of
-    w XOR the residues X^i mod f of its higher set bits.  Those residues
-    are summed 11 bits at a time by lookup in the span of 11 columns
-    (Sarwate's CRC tables, CACM 1988): at most 6 lookups per 63-bit word.
+    w mod f is GF(2)-linear in the bits of w: it is the XOR of the
+    residues X^i mod f of its set bits, summed by ``_xor_lookup`` 11
+    columns at a time: at most six lookups per 64-bit word.
     """
     vals = np.asarray(vals, dtype=np.uint64)
     deg_f = f.bit_length() - 1
-    out = np.empty(vals.shape, dtype=np.uint64)  # C order: its flat view below is no copy
-    np.bitwise_and(vals, np.uint64((1 << deg_f) - 1), out=out)
     top = int(vals.max()).bit_length() if vals.size else 0
-    if top <= deg_f:  # words already reduced
-        return out
-    cols = []  # X^i mod f for i = deg f .. top bit of the words
-    r = f ^ (1 << deg_f)
-    for _ in range(deg_f, top):
-        cols.append(r)
-        r <<= 1
+    cols, r = [], 1  # X^i mod f for i below the top bit of the words
+    for _ in range(top):
         if r >> deg_f & 1:
             r ^= f
-    tables = [
-        subspace_elements(cols[c : c + _CHUNK]).view(np.uint64) for c in range(0, len(cols), _CHUNK)
-    ]
-    # two scratch buffers of one slice each: no temporary as large as the input
-    idx = np.empty(min(vals.size, _SLICE), dtype=np.uint64)
-    hit = np.empty_like(idx)
-    words, res = vals.ravel(), out.reshape(-1)
-    for lo in range(0, words.size, _SLICE):
-        w, o = words[lo : lo + _SLICE], res[lo : lo + _SLICE]
-        i, h = idx[: w.size], hit[: w.size]
-        for c, table in enumerate(tables):
-            np.right_shift(w, np.uint64(deg_f + c * _CHUNK), out=i)
-            np.bitwise_and(i, np.uint64((1 << _CHUNK) - 1), out=i)
-            np.take(table, i.view(np.intp), out=h, mode="clip")
-            np.bitwise_xor(o, h, out=o)
-    return out
+        cols.append(r)
+        r <<= 1
+    return _xor_lookup(cols, _CHUNK, np.uint64)(vals)
 
 
 def bsc_residue_dp(masks: np.ndarray, p: float, deg_f: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from . import gf2
-from ._kernels import weight_counts
+from ._kernels import rem_many, weight_counts
 
 ENUM_GUARD_K = 24
 WORD_GUARD_N = 63  # bit-packed kernels use uint64 words
@@ -216,14 +216,13 @@ def syndrome_basis(n: int, f: int) -> list[int]:
 
     The l-th coefficient of w(X) mod f(X) equals the inner product
     w . h_l; the h_l are linearly independent and span the dual code of
-    C(n, f).  Requires f to be a proper nontrivial divisor of X^n + 1.
+    C(n, f).  Requires f to be a proper nontrivial divisor of X^n + 1, and
+    n <= 63 so that each vector is one word.
     """
     deg_f = check_divisor(n, f)
-    h = [0] * deg_f
-    r = 1
-    for i in range(n):
-        for l in range(deg_f):
-            if (r >> l) & 1:
-                h[l] |= 1 << i
-        r = gf2.rem(r << 1, f)
-    return h
+    if n > WORD_GUARD_N:
+        raise GuardError(f"syndrome basis needs n <= {WORD_GUARD_N}, got n={n}")
+    units = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    # bits[i, l] is the coefficient of X^l in X^i mod f
+    bits = (rem_many(units, f)[:, None] >> np.arange(deg_f, dtype=np.uint64)) & np.uint64(1)
+    return (units @ bits).tolist()

@@ -301,26 +301,35 @@ def _is_xor_subgroup(residues: np.ndarray):
     return np.all(subspace_elements(basis) == residues, axis=-1)
 
 
+def _support_classes(supports: np.ndarray, equal, deg_f: int) -> list:
+    """The class of each row of sorted supports, shape (rows, size).
+
+    ``equal`` says per row whether its masses are all equal.  One point
+    is degenerate; unequal masses are irregular; all 2^deg f residues are
+    uniform; an XOR subgroup is restricted uniform; anything else is
+    irregular.
+    """
+    rows, size = supports.shape
+    if size == 1:
+        return [DistributionClass.DEGENERATE] * rows
+    full = DistributionClass.UNIFORM
+    if size != 1 << deg_f:
+        full = DistributionClass.RESTRICTED_UNIFORM
+        equal = equal & _is_xor_subgroup(supports)
+    return [full if ok else DistributionClass.IRREGULAR for ok in equal.tolist()]
+
+
 def classify(dist: SyndromeDistribution) -> DistributionClass:
     """Degenerate / Uniform / RestrictedUniform / Irregular from the masses.
 
     The support-subgroup test is exact; mass equality is integer-exact
     for exact distributions and uses a 1e-12 tolerance otherwise.
     """
-    size = dist.support_size()
-    if size == 1:
-        return DistributionClass.DEGENERATE
     if dist.is_exact:
-        equal = bool(np.all(dist.counts == dist.counts[0]))
+        equal = np.all(dist.counts == dist.counts[0])
     else:
-        equal = float(dist.probs.max() - dist.probs.min()) <= _MASS_TOL
-    if not equal:
-        return DistributionClass.IRREGULAR
-    if size == 1 << dist.deg_f:
-        return DistributionClass.UNIFORM
-    if _is_xor_subgroup(dist.residues):
-        return DistributionClass.RESTRICTED_UNIFORM
-    return DistributionClass.IRREGULAR
+        equal = np.ptp(dist.probs) <= _MASS_TOL
+    return _support_classes(dist.residues[None], np.array([equal]), dist.deg_f)[0]
 
 
 # --- theorem-based prediction --------------------------------------------------
@@ -386,10 +395,8 @@ def _codeword_class(code: CyclicCode, f: int) -> DistributionClass:
     return DistributionClass.RESTRICTED_UNIFORM
 
 
-def _component_class(code: CyclicCode, kind: str, d: int, f: int) -> DistributionClass:
+def _component_class(code: CyclicCode, d: int, f: int) -> DistributionClass:
     deg_f = f.bit_length() - 1
-    if kind == "code":
-        return _codeword_class(code, f)
     if d < deg_f:
         # the component cannot reach all residues; never all-zero either
         return DistributionClass.RESTRICTED_UNIFORM
@@ -445,10 +452,10 @@ def predict_class(
 
     components = []
     if d1:
-        components.append(_component_class(code, "trunc", d1, f))
+        components.append(_component_class(code, d1, f))
     components.extend(_codeword_class(code, f) for _ in range(q))
     if d2:
-        components.append(_component_class(code, "trunc", d2, f))
+        components.append(_component_class(code, d2, f))
     live = [c for c in components if c is not DistributionClass.DEGENERATE]
     if not live:
         # every component is a constant zero: aligned with f dividing g0
@@ -510,6 +517,8 @@ def noisy_distribution(spec: SubspaceSpec, f: int, p: float) -> SyndromeDistribu
 
 def noisy_zero_mass(base: SyndromeDistribution, err: SyndromeDistribution) -> float:
     """P[noisy residue = 0]: the error must reproduce the noise-free residue."""
+    if base.f != err.f:
+        raise ValueError("the two laws are modulo different f")
     dense = err.dense_probs()
     return float(np.dot(base.probs, dense[base.residues.astype(np.int64)]))
 

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gf2
-from ._kernels import _CHUNK, ortho_zero_count, rem_many, subspace_elements
+from ._kernels import _CHUNK, _xor_lookup, ortho_zero_count, rem_many
 from .codes import WORD_GUARD_N, CyclicCode, GuardError, check_crossover, parity_check_rows
 from .dists import (
     BlockType,
@@ -242,9 +242,9 @@ def _zero_fracs(n: int, codes: list[CyclicCode], nbits: int):
     generator side by side in one word of the narrowest dtype.  The codes
     are one divisor of X^n+1 or the distinct factors of X^n+1, whose
     degrees sum to the odd part of n, so they fit 63 bits.  A word's
-    packed residue is the XOR of lookups in spans of w columns: w = n
-    where that table takes at most as many bytes as the stream has bits,
-    else 11.  Each stat is count / M.
+    packed residue is the XOR of lookups in spans of w columns
+    (``_xor_lookup``): w = n where that table takes at most as many bytes
+    as the stream has bits, else 11.  Each stat is count / M.
     """
     units = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
     cols, fields, o = np.zeros(n, dtype=np.uint64), [], 0
@@ -253,16 +253,11 @@ def _zero_fracs(n: int, codes: list[CyclicCode], nbits: int):
         fields.append(((1 << (c.n - c.k)) - 1) << o)
         o += c.n - c.k
     dtype = np.min_scalar_type((1 << o) - 1)
-    w = n if (1 << n) * dtype.itemsize <= nbits else _CHUNK
-    tables = [subspace_elements(cols[b : b + w], dtype) for b in range(0, n, w)]
-    low = (1 << w) - 1
+    residues = _xor_lookup(cols, n if (1 << n) * dtype.itemsize <= nbits else _CHUNK, dtype)
 
     def fracs(polys: np.ndarray) -> list[float]:
-        v = polys.view(np.intp)  # words are below 2^n <= 2^63
-        res = np.take(tables[0], v if len(tables) == 1 else v & low)
-        for c in range(1, len(tables)):
-            res ^= np.take(tables[c], (v >> (c * w)) & low)
-        return [float((v.size - np.count_nonzero(res & f)) / v.size) for f in fields]
+        res = residues(polys)
+        return [float((res.size - np.count_nonzero(res & f)) / res.size) for f in fields]
 
     return fracs
 

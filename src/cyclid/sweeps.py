@@ -41,8 +41,8 @@ from .dists import (
     SyndromeDistribution,
     Truncation,
     _error_dp_cached,
-    _is_xor_subgroup,
     _rank_class,
+    _support_classes,
     boundary_components,
     build_subspace,
     distinct_block_types,
@@ -134,21 +134,12 @@ def _span_classes(span: np.ndarray, deg_f: int) -> list:
     """``classify``'s rules on each row of enumerated spans, shape (rows, 2^r).
 
     Rows not already in increasing order are sorted in place.  Distinct
-    elements carry equal counts 2^(dim - r); rank deg f then covers every
-    residue, and otherwise the sorted row must be an XOR subgroup.
-    Anything else is irregular.
+    elements carry equal counts 2^(dim - r), so a row's masses are equal
+    exactly when its sorted elements are distinct.
     """
-    rows, size = span.shape
-    if size == 1:
-        return [DistributionClass.DEGENERATE] * rows
     if not np.all(span[:, 1:] > span[:, :-1]):
         span.sort(axis=1)
-    distinct = np.all(span[:, 1:] != span[:, :-1], axis=1)
-    full = DistributionClass.UNIFORM
-    if size != 1 << deg_f:
-        full = DistributionClass.RESTRICTED_UNIFORM
-        distinct &= _is_xor_subgroup(span)
-    return [full if ok else DistributionClass.IRREGULAR for ok in distinct.tolist()]
+    return _support_classes(span, np.all(span[:, 1:] != span[:, :-1], axis=1), deg_f)
 
 
 def _decide_images(images: list, f: int, check_noisy=None) -> dict:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cyclid import sweeps
 from cyclid.cli import main
 
 
@@ -208,10 +209,18 @@ def test_guard_error_reports_offending_size(capsys):
     assert "29" in err  # the offending block length
 
 
-def test_verify_algebra(capsys):
+def test_verify_algebra(capsys, monkeypatch):
+    # the wiring only: test_sweeps.py runs the default algebra sweep, whose
+    # loop over every pattern of period <= 15 takes seconds whatever its arguments
+    result = sweeps.SweepResult("algebra", checked=5)
+    monkeypatch.setattr(sweeps, "sweep_algebra", lambda: result)
     code, out, _ = run(capsys, "verify", "--suite", "algebra")
     assert code == 0
-    assert "algebra: checked" in out
+    assert "algebra: checked 5, ok" in out
+    result.failures.append(("ring", 1, 2, 3))
+    code, out, _ = run(capsys, "verify", "--suite", "algebra")
+    assert code == 3
+    assert "algebra: checked 5, 1 FAILURES" in out and "failure: ('ring', 1, 2, 3)" in out
     for argv in (["--suite", "nope"], ["--suite", "algebra", "--jobs", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *argv])

@@ -197,6 +197,24 @@ def test_syndrome_basis_structure():
         syndrome_basis(7, 1)
     with pytest.raises(ValueError):
         syndrome_basis(7, gf2.xn1(7))
+    # each vector is one 64-bit word
+    assert syndrome_basis(63, P("x+1")) == [(1 << 63) - 1]
+    with pytest.raises(GuardError, match="65"):
+        syndrome_basis(65, P("x+1"))
+
+
+def test_syndrome_basis_matches_bit_loop():
+    # reference: h_l collects bit l of X^i mod f over i, one gf2.rem per i
+    for n in range(2, 25):
+        for f in gf2.divisors_xn1(n):
+            if not 1 <= f.bit_length() - 1 < n:
+                continue
+            h = [0] * (f.bit_length() - 1)
+            for i in range(n):
+                r = gf2.rem(1 << i, f)
+                for l in range(len(h)):
+                    h[l] |= (r >> l & 1) << i
+            assert syndrome_basis(n, f) == h
 
 
 def test_span_helpers():

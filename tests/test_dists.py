@@ -372,6 +372,13 @@ def test_noisy_zero_mass_matches_convolution():
         assert abs(direct - full) < 1e-12
 
 
+def test_noisy_zero_mass_refuses_different_moduli():
+    base = exact_distribution(Truncation(CyclicCode(7, P("x^3+x+1")), 5), P("x+1"))
+    err = error_residue_distribution(9, P("x^2+x+1"), 0.1)
+    with pytest.raises(ValueError, match="different f"):
+        noisy_zero_mass(base, err)
+
+
 def test_format_distribution():
     dist = exact_distribution(Truncation(fig4_code(), 10), P("x^4+x^3+x^2+x+1"))
     text = format_distribution(dist)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cyclid import _kernels as K
 from cyclid import gf2, recon
 from cyclid._kernels import rem_many
 from cyclid.codes import CyclicCode, GuardError
@@ -289,13 +290,19 @@ def test_zero_counts_pack_every_factor_and_match_direct_counts(monkeypatch):
     #   n = 15: 5 factors, 1+2+4+4+4 = 15 bits, uint16, 2^15 * 2 = 65 536 -> 11 + 4
     #   n = 16..22: at least 2^16 = 65 536 bytes -> two chunks, 11 + (n - 11)
     #   n = 23: 11 + 11 + 1
-    real, chunks = recon.subspace_elements, {}
+    real_lookup, real_span, chunks = recon._xor_lookup, K.subspace_elements, {}
 
-    def spy(cols, dtype):
+    def table(cols, dtype):
         chunks[n].append((len(cols), np.dtype(dtype)))
-        return real(cols, dtype)
+        return real_span(cols, dtype)
 
-    monkeypatch.setattr(recon, "subspace_elements", spy)
+    def spy(cols, w, dtype):
+        # only the packed tables: the rem_many calls for the columns share the kernel
+        with monkeypatch.context() as m:
+            m.setattr(K, "subspace_elements", table)
+            return real_lookup(cols, w, dtype)
+
+    monkeypatch.setattr(recon, "_xor_lookup", spy)
     for n in range(13, 24):
         chunks[n] = []
         recon._zero_fracs(n, [CyclicCode(n, f) for f, _ in gf2.factor_xn1(n)], bits.size)

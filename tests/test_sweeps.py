@@ -260,7 +260,7 @@ def test_pzero_identity():
 
 
 def test_algebra_suite():
-    res = sweep_algebra(max_n=24, trials=100)
+    res = sweep_algebra()  # the defaults behind `verify --suite algebra`
     assert res.ok
 
 
