@@ -133,18 +133,25 @@ def bsc_residue_dp(masks: np.ndarray, p: float, deg_f: int) -> np.ndarray:
     return probs
 
 
+# Sylvester's H_16, entry (i, j) = (-1)^popcount(i & j); H_2^t is its top-left corner
+_H16 = 1.0 - 2.0 * (np.bitwise_count(np.arange(16)[:, None] & np.arange(16)) & 1)
+
+
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform along the last axis."""
-    h = 1
+    """Unnormalised Walsh-Hadamard transform along the last axis.
+
+    H_n is the Kronecker product of blocks of H_16 over groups of at most
+    four index bits, so each group is one matmul over every row at once.
+    """
     shape, n = a.shape, a.shape[-1]
-    a = a.reshape(-1, n).copy()
-    while h < n:
-        a = a.reshape(a.shape[0], -1, 2, h)
-        x = a[:, :, 0, :].copy()
-        a[:, :, 0, :] = x + a[:, :, 1, :]
-        a[:, :, 1, :] = x - a[:, :, 1, :]
-        h *= 2
-    return a.reshape(shape)
+    low = 1  # 2^(index bits below the group)
+    while True:
+        size = min(16, n // low)
+        h = _H16[:size, :size]
+        a = a.reshape(-1, size) @ h if low == 1 else h @ a.reshape(-1, size, low)
+        low *= size
+        if low >= n:
+            return a.reshape(shape)
 
 
 def xor_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

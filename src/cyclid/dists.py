@@ -19,7 +19,9 @@ residue modulo a candidate divisor f of X^n + 1:
   rules for truncations and boundary spans (information-set argument,
   counting argument, the small-order-factor test, uniformity
   propagation, component decomposition), falling back to the rank of
-  the residue images only where no closed-form rule applies.
+  the residue images only where no closed-form rule applies.  A list of
+  one code's specs is classified in one call, which decides each rule
+  once per length in a memo that ends with the call.
 
 The verification sweeps cross-check the two routes exhaustively.
 """
@@ -27,9 +29,10 @@ The verification sweeps cross-check the two routes exhaustively.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -159,12 +162,15 @@ def spec_for_block(code: CyclicCode, block: BlockType | SubspaceSpec) -> Subspac
     return block
 
 
-def _truncated_rows(code: CyclicCode, n: int, suffix: bool = False) -> list[int]:
-    rows = []
-    for i in range(code.k):
-        v = code.g << i
-        rows.append(v >> (code.n - n) if suffix else v & ((1 << n) - 1))
-    return rows
+def _truncated_rows(code: CyclicCode, d: int, suffix: bool = False) -> list[int]:
+    """The nonzero rows X^i g0, i < k, cut to the first (last) d coordinates.
+
+    They are independent: g0 has constant term 1, so the prefix rows have
+    distinct lowest bits and the suffix rows distinct highest bits.
+    """
+    if suffix:
+        return [(code.g << i) >> (code.n - d) for i in range(max(0, code.k - d), code.k)]
+    return [(code.g << i) & ((1 << d) - 1) for i in range(min(code.k, d))]
 
 
 def boundary_components(spec: BoundarySpan) -> list[list[int]]:
@@ -172,13 +178,13 @@ def boundary_components(spec: BoundarySpan) -> list[list[int]]:
     code = spec.code
     out = []
     if spec.d1:
-        out.append(span_basis(_truncated_rows(code, spec.d1, suffix=True)))
+        out.append(_truncated_rows(code, spec.d1, suffix=True))
     for t in range(spec.q):
         shift = spec.d1 + t * code.n
         out.append([code.g << (i + shift) for i in range(code.k)])
     if spec.d2:
         shift = spec.d1 + spec.q * code.n
-        out.append([b << shift for b in span_basis(_truncated_rows(code, spec.d2))])
+        out.append([b << shift for b in _truncated_rows(code, spec.d2)])
     return out
 
 
@@ -188,7 +194,7 @@ def build_subspace(spec: SubspaceSpec) -> list[int]:
     if n > SPAN_GUARD_N:
         raise GuardError(f"subspace models need n <= {SPAN_GUARD_N}, got {n}")
     if isinstance(spec, Truncation):
-        return span_basis(_truncated_rows(spec.code, spec.n))
+        return _truncated_rows(spec.code, spec.n)
     return [b for comp in boundary_components(spec) for b in comp]
 
 
@@ -400,14 +406,9 @@ def _component_class(code: CyclicCode, d: int, f: int) -> DistributionClass:
     if d < deg_f:
         # the component cannot reach all residues; never all-zero either
         return DistributionClass.RESTRICTED_UNIFORM
-    if d <= code.k:
-        return DistributionClass.UNIFORM
-    if deg_f > code.k:
-        return DistributionClass.RESTRICTED_UNIFORM
-    if d < code.n and gf2.rem(gf2.xn1(d), f) == 0:
-        if _theorem1(code, d, f):
-            return DistributionClass.RESTRICTED_UNIFORM
-        return DistributionClass.UNIFORM
+    if d <= code.k or deg_f > code.k or (d < code.n and gf2.rem(gf2.xn1(d), f) == 0):
+        # the truncation rules, where f divides X^d + 1 in the third case
+        return _truncation_class(code, d, f)
     # no closed-form rule: rank of the component's residue image
     return _rank_class((gf2.rem(r, f) for r in _truncated_rows(code, d)), deg_f)
 
@@ -422,40 +423,52 @@ def _rank_class(residues, deg_f: int) -> DistributionClass:
     return DistributionClass.RESTRICTED_UNIFORM
 
 
-def predict_class(
-    code: CyclicCode, spec: SubspaceSpec | BlockType, f: int
-) -> DistributionClass:
+def predict_class(code: CyclicCode, specs: SubspaceSpec | BlockType | list, f: int):
     """Distribution class from the decision rules alone, never by enumeration.
 
-    Truncations use the information-set, counting, and small-order-factor
-    rules.  Boundary spans (aligned multiples included) use uniformity
-    propagation from the truncation when n < n0, then the component
-    decomposition: degenerate components shift nothing and are dropped,
-    any uniform component saturates the sum, a lone restricted component
-    is its own sum, and several restricted components fall back to the
-    rank of the combined residue image (their subgroups can sum to the
-    full space, so the class of the sum is the class of the combined
-    image, not the worst component).
+    ``specs`` is one spec or block type of ``code``, or a list of them,
+    which gets a list of classes.  Truncations use the information-set,
+    counting, and small-order-factor rules.  Boundary spans (aligned
+    multiples included) use uniformity propagation from the truncation
+    when n < n0, then the component decomposition: degenerate components
+    shift nothing and are dropped, any uniform component saturates the
+    sum, and a lone restricted component is its own sum.  Several
+    restricted components can still sum to the full space: their span is
+    restricted if its dimension min(d1, k) + q k + min(d2, k) is below
+    deg f, else its class is the rank of its residue image, with the
+    words of all such spans reduced in one call.  Divisor checks and
+    rules are decided once per length and call.
     """
-    spec = spec_for_block(code, spec)
-    deg_f = check_divisor(spec.n, f)
+    single = not isinstance(specs, (list, tuple))
+    specs = [spec_for_block(code, spec) for spec in ([specs] if single else specs)]
+    if any(spec.code != code for spec in specs):
+        raise ValueError(f"every spec must be of {code}")
+    deg_f = f.bit_length() - 1
+    for n in {spec.n for spec in specs}:
+        check_divisor(n, f)
+    rule = cache(lambda fn, *d: fn(code, *d, f))  # a memo for this call only
+    classes = [_span_rule_class(spec, deg_f, rule) for spec in specs]
+    pending = [i for i, kind in enumerate(classes) if kind is None]
+    if pending:
+        bases = [build_subspace(specs[i]) for i in pending]
+        words = np.array([w for basis in bases for w in basis], dtype=np.uint64)
+        residues = iter(rem_many(words, f).tolist())
+        for i, basis in zip(pending, bases):
+            classes[i] = _rank_class(itertools.islice(residues, len(basis)), deg_f)
+    return classes[0] if single else classes
 
+
+def _span_rule_class(spec: SubspaceSpec, deg_f: int, rule):
+    """``predict_class``'s rules for one spec; None where only a rank decides."""
     if isinstance(spec, Truncation):
-        return _truncation_class(code, spec.n, f)
-
-    d1, q, d2 = spec.d1, spec.q, spec.d2
-    if spec.n < code.n:
-        # a boundary span contains the truncation subspace, so uniformity
-        # of the truncation propagates
-        if _truncation_class(code, spec.n, f) is DistributionClass.UNIFORM:
-            return DistributionClass.UNIFORM
-
-    components = []
-    if d1:
-        components.append(_component_class(code, d1, f))
-    components.extend(_codeword_class(code, f) for _ in range(q))
-    if d2:
-        components.append(_component_class(code, d2, f))
+        return rule(_truncation_class, spec.n)
+    code, d1, q, d2 = spec.code, spec.d1, spec.q, spec.d2
+    # a boundary span contains the truncation subspace, so uniformity of
+    # the truncation propagates
+    if spec.n < code.n and rule(_truncation_class, spec.n) is DistributionClass.UNIFORM:
+        return DistributionClass.UNIFORM
+    components = [rule(_codeword_class)] * q
+    components += [rule(_component_class, d) for d in (d1, d2) if d]
     live = [c for c in components if c is not DistributionClass.DEGENERATE]
     if not live:
         # every component is a constant zero: aligned with f dividing g0
@@ -465,9 +478,11 @@ def predict_class(
         return DistributionClass.UNIFORM
     if len(live) == 1:
         return live[0]
-    # several restricted components: their subgroups can still sum to the
-    # full space, so the class comes from the rank of the combined image
-    return _rank_class((gf2.rem(b, f) for b in build_subspace(spec)), deg_f)
+    # several restricted components, so the rank is positive: it is below
+    # deg f when the span's dimension is
+    if min(d1, code.k) + q * code.k + min(d2, code.k) < deg_f:
+        return DistributionClass.RESTRICTED_UNIFORM
+    return None
 
 
 # --- noise -------------------------------------------------------------------

@@ -16,10 +16,12 @@ image alone: a row keeps one record per distinct image per (n0, f), and
 every spec instance and boundary component looks its image up there.
 The images are decided in batches of equal rank, one span enumeration
 per batch, and the eq-23 masses are an XOR convolution over each span.
-The checks themselves, and their counts, stay per instance.  Rows run
-serially: Python code between short numpy calls holds the GIL for most
-of a row, so a thread pool measured slower than a serial run.  The
-``jobs`` keywords are accepted and ignored.
+A code's specs, one per frame offset, get their predicted classes from
+one ``predict_class`` call per f.  The checks themselves, and their
+counts, stay per instance.  Rows run serially: Python code between
+short numpy calls holds the GIL for most of a row, so a thread pool
+measured slower than a serial run.  The ``jobs`` keywords are accepted
+and ignored.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from .dists import (
     _error_dp_cached,
     _rank_class,
     _support_classes,
+    block_decomposition,
     boundary_components,
     build_subspace,
-    distinct_block_types,
     distribution_from_basis,
     predict_class,
     spec_for_block,
@@ -95,14 +97,13 @@ def nondegenerate_codes(n0: int) -> list[CyclicCode]:
 
 
 def _distinct_specs(code: CyclicCode, n: int) -> list:
-    """Deduplicated subspace specs reachable over all offsets s for (code, n)."""
-    return list(
-        dict.fromkeys(
-            spec_for_block(code, bt)
-            for s in range(n)
-            for bt in distinct_block_types(code.n, n, s, 0)
-        )
-    )
+    """Deduplicated subspace specs of (code, n): a block at each frame offset o < n0.
+
+    Every offset is reached by some block of some (n, s) segmentation.
+    """
+    n0 = code.n
+    blocks = (block_decomposition(n0, n, 0, -o % n0, 1) for o in range(n0))
+    return list(dict.fromkeys(spec_for_block(code, block) for block in blocks))
 
 
 # --- the distribution sweep (noise-free and noisy) ---------------------------
@@ -233,9 +234,9 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
             # 3. the checks, per instance in spec order
             for code, items in instances:
                 trunc_kind = None
-                for spec, image, parts in items:
+                preds = predict_class(code, [spec for spec, _, _ in items], f)
+                for (spec, image, parts), pred in zip(items, preds):
                     kind, noisy = records[image]
-                    pred = predict_class(code, spec, f)
                     res["cross_validation"].checked += 1
                     if kind is not pred:
                         res["cross_validation"].failures.append(
@@ -337,14 +338,13 @@ def _check_noisy(res, n, noise, uniform_verified, f, images, span, kinds) -> lis
     uniform = [image for image, kind in zip(images, kinds) if kind is DistributionClass.UNIFORM]
     pending = [p for p in noise if (f, p) not in uniform_verified] if uniform else []
     if pending:
-        dist = distribution_from_basis(list(uniform[0]), f)
+        # only the dense masses live through the convolutions: a deg-16
+        # law's sparse arrays take another 1.5 MB at the sweep's peak
+        dense = distribution_from_basis(list(uniform[0]), f).dense_probs()
     for p in pending:
         uniform_verified.add((f, p))
-        noisy = SyndromeDistribution(
-            f,
-            np.arange(1 << dist.deg_f, dtype=np.uint64),
-            xor_convolve(dist.dense_probs(), noise[p][0]),
-        )
+        probs = xor_convolve(dense, noise[p][0])
+        noisy = SyndromeDistribution(f, np.arange(probs.size, dtype=np.uint64), probs)
         res["noisy_uniform"].checked += 1
         if noisy.kind is not DistributionClass.UNIFORM:
             res["noisy_uniform"].failures.append((n, f, p, str(noisy.kind)))
@@ -632,8 +632,8 @@ def sweep_algebra(max_n: int = 40, trials: int = 300, seed: int = 1) -> SweepRes
         if len(divs) != expect or 1 not in divs or gf2.xn1(n) not in divs:
             result.failures.append(("divisors", n))
 
-    # recurrence order equals least period, for every pattern of period <= 15
-    for d in range(1, 16):
+    # recurrence order equals least period, for every pattern of period <= min(15, max_n)
+    for d in range(1, min(15, max_n) + 1):
         for w in range(1, 1 << d):
             bits = gf2.poly_to_bits(w, d)
             if gf2.least_period(bits) != d:

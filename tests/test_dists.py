@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from cyclid import gf2
-from cyclid.codes import CyclicCode, GuardError
+from cyclid import dists, gf2
+from cyclid.codes import CyclicCode, GuardError, span_basis
 from cyclid.dists import (
     Boundary,
     BoundarySpan,
@@ -13,6 +13,7 @@ from cyclid.dists import (
     SyndromeDistribution,
     Truncation,
     _is_xor_subgroup,
+    _truncated_rows,
     block_decomposition,
     build_subspace,
     classify,
@@ -269,6 +270,62 @@ def test_predict_class_examples():
     assert (
         predict_class(code, Interior(3, 5), P("x+1")) is DistributionClass.UNIFORM
     )
+
+
+def test_predict_class_refuses_a_spec_of_another_code():
+    # the rules of C(7, x^3+x+1) would call this truncation restricted;
+    # its own code's law is uniform
+    code = CyclicCode(7, P("x^3+x+1"))
+    spec = Truncation(CyclicCode(15, P("x+1")), 9)
+    f = P("x^6+x^3+1")
+    assert exact_distribution(spec, f).kind is DistributionClass.UNIFORM
+    with pytest.raises(ValueError):
+        predict_class(code, spec, f)
+    with pytest.raises(ValueError):
+        predict_class(code, [Truncation(code, 6), spec], f)
+
+
+def test_predict_class_list_equals_per_spec_calls():
+    for n0 in (7, 15):
+        for code in nondegenerate_codes(n0):
+            for n in range(2, 18):
+                specs = _distinct_specs(code, n)
+                for f in gf2.divisors_xn1(n):
+                    if not 1 <= f.bit_length() - 1 < n:
+                        continue
+                    one_by_one = [predict_class(code, spec, f) for spec in specs]
+                    assert predict_class(code, specs, f) == one_by_one, (code, n, f)
+    assert predict_class(CyclicCode(7, P("x^3+x+1")), [], P("x+1")) == []
+
+
+def test_predict_class_counting_rule(monkeypatch):
+    # a 6-bit suffix and a 1-bit prefix of C(7, 4): both components are
+    # restricted mod the degree-6 f, and the span's dimension 4 + 1 = 5 is
+    # below 6, so no rank is needed to call it restricted
+    code = CyclicCode(7, P("x^3+x+1"))
+    spec = BoundarySpan(code, 6, 0, 1)
+    f = P("x^6+x^5+x^4+x^3+x^2+x+1")
+    assert exact_distribution(spec, f).kind is DistributionClass.RESTRICTED_UNIFORM
+    monkeypatch.setattr(dists, "build_subspace", None)  # the rank fallback would fail
+    assert predict_class(code, spec, f) is DistributionClass.RESTRICTED_UNIFORM
+
+
+def test_truncated_rows_are_independent_and_span_the_truncation():
+    pairs = 0
+    for n0 in (7, 9, 15, 21):
+        for g in gf2.divisors_xn1(n0):
+            code = CyclicCode(n0, g)
+            if code.is_trivial:
+                continue
+            all_rows = [code.g << i for i in range(code.k)]
+            for d in range(1, n0):
+                for suffix in (False, True):
+                    rows = _truncated_rows(code, d, suffix)
+                    cut = [r >> (n0 - d) if suffix else r & ((1 << d) - 1) for r in all_rows]
+                    assert len(rows) == min(code.k, d) == len(span_basis(rows))
+                    assert span_basis(rows) == span_basis(cut), (code, d, suffix)
+                    pairs += 1
+    assert pairs > 1000
 
 
 def test_predict_matches_classify_exhaustive_n0_7():

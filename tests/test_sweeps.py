@@ -261,7 +261,26 @@ def test_pzero_identity():
 
 def test_algebra_suite():
     res = sweep_algebra()  # the defaults behind `verify --suite algebra`
-    assert res.ok
+    assert res.ok and res.checked == 66_472
+
+
+def test_algebra_suite_recurrences_follow_max_n():
+    # patterns of period <= max_n only, so small arguments give a small suite
+    res = sweep_algebra(max_n=8, trials=10)
+    assert res.ok and res.checked == 545
+
+
+def test_distinct_specs_equal_every_offset_and_block():
+    for n0 in (7, 9, 15):
+        for code in nondegenerate_codes(n0):
+            for n in range(2, 2 * n0 + 3):
+                every = {
+                    dists.spec_for_block(code, bt)
+                    for s in range(n)
+                    for bt in dists.distinct_block_types(n0, n, s, 0)
+                }
+                specs = sweeps._distinct_specs(code, n)
+                assert len(specs) == len(set(specs)) and set(specs) == every, (code, n)
 
 
 def test_run_suite_registry():
