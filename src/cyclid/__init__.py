@@ -31,7 +31,6 @@ from .dists import (
     error_residue_distribution,
     exact_distribution,
     noisy_distribution,
-    noisy_zero_mass,
     predict_class,
     spec_for_block,
     theorem1_restricted_uniform_test,

@@ -63,14 +63,6 @@ def span_basis(vectors) -> list[int]:
     return [rows[p] for p in reversed(pivots)]
 
 
-def in_span(basis: list[int], v: int) -> bool:
-    """Membership test against a row-echelon basis from span_basis."""
-    for b in basis:
-        if v >> (b.bit_length() - 1) & 1:
-            v ^= b
-    return v == 0
-
-
 class CyclicCode:
     """The cyclic code C(n, g).
 
@@ -107,24 +99,13 @@ class CyclicCode:
     def is_trivial(self) -> bool:
         return self.k == 0 or self.k == self.n
 
-    def dual_generator(self) -> int:
-        """Generator of the dual code: reciprocal of (X^n+1)/g."""
-        return self.g_dual
-
     def is_degenerate(self) -> bool:
-        """True iff the generator matrix is a repetition of a shorter code's.
-
-        Equivalent order criterion: the code is degenerate iff the order
-        of the dual generator is strictly less than n.  Undefined for
-        trivial codes.
+        """True iff the dual generator's order is below n: the generator
+        matrix repeats a shorter code's.  Undefined for trivial codes.
         """
         if self.is_trivial:
             raise ValueError("degeneracy is undefined for trivial codes")
-        # order(g_dual) divides n, so only proper divisors need checking
-        for l in range(1, self.n):
-            if self.n % l == 0 and gf2.rem(gf2.xn1(l), self.g_dual) == 0:
-                return True
-        return False
+        return gf2.order(self.g_dual) < self.n
 
     def codewords(self) -> Iterator[int]:
         """All 2^k codewords u*g in message order; guarded at k <= 24."""

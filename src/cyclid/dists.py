@@ -24,6 +24,11 @@ residue modulo a candidate divisor f of X^n + 1:
   once per length in a memo that ends with the call.
 
 The verification sweeps cross-check the two routes exhaustively.
+
+Noise enters through one cached error law per (n, f, p), the residue of
+n iid BSC(p) bits modulo f.  The noisy block law is its XOR convolution
+with the noise-free law, uniform on an image H; the zero mass alone is
+the mean of the error law over H.
 """
 
 from __future__ import annotations
@@ -489,12 +494,18 @@ def _span_rule_class(spec: SubspaceSpec, deg_f: int, rule):
 
 
 @lru_cache(maxsize=16)
-def _error_dp_cached(n: int, f: int, p: float) -> tuple:
+def _error_dp_cached(n: int, f: int, p: float) -> np.ndarray:
     # the columns X^i mod f, i < n
     masks = rem_many(np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)), f)
     probs = bsc_residue_dp(masks, p, f.bit_length() - 1)
     probs.setflags(write=False)
-    return (probs,)
+    return probs
+
+
+def _law_from_dense(f: int, dense: np.ndarray) -> SyndromeDistribution:
+    """The law with masses `dense` over all residues, sparse over its support."""
+    support = np.flatnonzero(dense)
+    return SyndromeDistribution(f, support, dense[support], dense=dense)
 
 
 def error_residue_distribution(n: int, f: int, p: float) -> SyndromeDistribution:
@@ -507,11 +518,7 @@ def error_residue_distribution(n: int, f: int, p: float) -> SyndromeDistribution
     deg_f = f.bit_length() - 1
     if not 1 <= deg_f <= DEGF_DP_GUARD:
         raise GuardError(f"error DP needs 1 <= deg f <= {DEGF_DP_GUARD}, got {deg_f}")
-    dense = _error_dp_cached(n, f, p)[0]
-    support = np.nonzero(dense)[0].astype(np.uint64)
-    return SyndromeDistribution(
-        f, support, dense[support.astype(np.int64)], dense=dense
-    )
+    return _law_from_dense(f, _error_dp_cached(n, f, p))
 
 
 def noisy_distribution(spec: SubspaceSpec, f: int, p: float) -> SyndromeDistribution:
@@ -525,28 +532,14 @@ def noisy_distribution(spec: SubspaceSpec, f: int, p: float) -> SyndromeDistribu
     if p == 0.0:
         return base
     err = error_residue_distribution(spec.n, f, p)
-    dense = xor_convolve(base.dense_probs(), err.dense_probs())
-    support = np.nonzero(dense)[0].astype(np.uint64)
-    return SyndromeDistribution(f, support, dense[support.astype(np.int64)], dense=dense)
-
-
-def noisy_zero_mass(base: SyndromeDistribution, err: SyndromeDistribution) -> float:
-    """P[noisy residue = 0]: the error must reproduce the noise-free residue."""
-    if base.f != err.f:
-        raise ValueError("the two laws are modulo different f")
-    dense = err.dense_probs()
-    return float(np.dot(base.probs, dense[base.residues.astype(np.int64)]))
+    return _law_from_dense(f, xor_convolve(base.dense_probs(), err.dense_probs()))
 
 
 def format_distribution(dist: SyndromeDistribution) -> str:
     """Dump format: one '<residue-bits> <probability>' line per support residue."""
     lines = [
-        f"{_residue_bits(int(r), dist.deg_f)} {p:.12g}"
+        f"{''.join(map(str, gf2.poly_to_bits(int(r), dist.deg_f)))} {p:.12g}"
         for r, p in zip(dist.residues, dist.probs)
     ]
     lines.append(f"class={dist.kind}")
     return "\n".join(lines)
-
-
-def _residue_bits(r: int, width: int) -> str:
-    return "".join(str((r >> i) & 1) for i in range(width))

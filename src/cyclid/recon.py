@@ -34,7 +34,6 @@ from .dists import (
     SubspaceSpec,
     error_residue_distribution,
     exact_distribution,
-    noisy_zero_mass,
     spec_for_block,
     build_subspace,
 )
@@ -43,8 +42,17 @@ from .stream import blocks_to_polys, offset_words, segment
 MIN_BLOCKS_COMFORT = 50
 
 
+def _check_bits(bits, ndim: int) -> np.ndarray:
+    """`bits` as an array, refused unless it has `ndim` axes and only 0/1 values."""
+    bits = np.asarray(bits)
+    if bits.ndim != ndim or np.any((bits != 0) & (bits != 1)):
+        raise ValueError(f"need a {ndim}-D array of 0/1 bits")
+    return bits
+
+
 def zero_syndrome_stat(blocks: np.ndarray, f: int) -> float:
     """Fraction of blocks whose polynomial is divisible by f, a divisor of X^n+1."""
+    blocks = _check_bits(blocks, 2)
     if blocks.shape[0] == 0:
         raise ValueError("no blocks")
     n = blocks.shape[1]
@@ -152,15 +160,14 @@ def root_divisibility_prob_exact(
     A root of X^n+1 is a root of the block polynomial iff its minimal
     polynomial divides the block, so the root statistic is the zero
     mass of the noisy residue distribution for that minimal polynomial.
+    The noise-free residue is uniform on its image H, so the noisy one is
+    zero with probability the mean of the error law over H.
     """
     if not gf2.is_irreducible(f_irred):
         raise ValueError("candidate must be irreducible")
     spec = spec_for_block(code, block_type)
-    base = exact_distribution(spec, f_irred)
-    if p == 0.0:
-        return base.zero_mass
-    err = error_residue_distribution(spec.n, f_irred, p)
-    return noisy_zero_mass(base, err)
+    image = exact_distribution(spec, f_irred).residues.astype(np.intp)
+    return float(error_residue_distribution(spec.n, f_irred, p).dense_probs()[image].mean())
 
 
 def _mean_zero_check_frac(polys: np.ndarray, code: CyclicCode) -> float:
@@ -171,6 +178,7 @@ def _mean_zero_check_frac(polys: np.ndarray, code: CyclicCode) -> float:
 
 def empirical_stats(blocks: np.ndarray, f: int) -> dict[str, float]:
     """Counting estimators of the three per-candidate statistics."""
+    blocks = _check_bits(blocks, 2)
     if blocks.shape[0] == 0:
         raise ValueError("no blocks")
     polys = blocks_to_polys(blocks)
@@ -296,7 +304,8 @@ def reconstruct(
 
     The best score wins, ties to smaller n, then smaller s.
 
-    The crossover probability p is checked first, for every method.
+    The crossover probability p is checked first, for every method, and
+    ``bits`` must be a 1-D array of 0/1 values.
     The zero-syndrome and root-entropy counts of a length n come from
     one packed residue per block, all factors side by side, summed by
     table lookup (``_zero_fracs``); each stat is count / M.  p0 is
@@ -312,7 +321,7 @@ def reconstruct(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     stats_at, outcome_of, score_of = METHODS[method]
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = _check_bits(bits, 1).astype(np.uint8, copy=False)
     diagnostics: dict = {}
     m_at_nmax = max(0, (bits.size - (n_max - 1)) // n_max)
     if m_at_nmax < MIN_BLOCKS_COMFORT:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gf2
-from .codes import CyclicCode, check_crossover
+from .codes import WORD_GUARD_N, CyclicCode, GuardError, check_crossover
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ def segment(bits: np.ndarray, n: int, s: int) -> np.ndarray:
 
 def blocks_to_polys(blocks: np.ndarray) -> np.ndarray:
     """Bit-pack each block row into a uint64 polynomial word, bit i from column i."""
-    if blocks.shape[1] > 63:
-        raise ValueError("bit-packed blocks need n <= 63")
+    if blocks.shape[1] > WORD_GUARD_N:
+        raise GuardError(f"bit-packed blocks need n <= {WORD_GUARD_N}, got n={blocks.shape[1]}")
     out = np.zeros(blocks.shape[0], dtype=np.uint64)
     for i in range(blocks.shape[1]):
         out |= blocks[:, i].astype(np.uint64) << np.uint64(i)

@@ -96,6 +96,11 @@ def nondegenerate_codes(n0: int) -> list[CyclicCode]:
     return out
 
 
+def _proper_divisors(n: int) -> list[int]:
+    """The divisors f of X^n + 1 with 1 <= deg f < n."""
+    return [f for f in gf2.divisors_xn1(n) if 1 <= f.bit_length() - 1 < n]
+
+
 def _distinct_specs(code: CyclicCode, n: int) -> list:
     """Deduplicated subspace specs of (code, n): a block at each frame offset o < n0.
 
@@ -181,7 +186,6 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
         )
     }
     res["cross_validation"].notes["degenerate_instances"] = []
-    divisors = [f for f in gf2.divisors_xn1(n) if 1 <= f.bit_length() - 1 < n]
     uniform_verified: set = set()
     # per n0: specs and their bases depend on (code, n) only, not on f, and
     # every basis word of the n0 is reduced mod f in one call
@@ -199,7 +203,7 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
     if not row:
         return res  # no error DP either
     # f outside n0: each error DP is built once per (n, f, p) and shared by the n0
-    for f in divisors:
+    for f in _proper_divisors(n):
         if f.bit_length() - 1 > DEGF_DP_GUARD:
             continue  # no dense residue arrays: its instances are skipped
         # p -> (error residue masses, Theorem-5 bound on the zero mass)
@@ -207,7 +211,7 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
         if with_noise:
             f_code = CyclicCode(n, f)
             for p in p_list:
-                noise[p] = (_error_dp_cached(n, f, p)[0], h1_upper_bound(f_code, p))
+                noise[p] = (_error_dp_cached(n, f, p), h1_upper_bound(f_code, p))
         check_noisy = partial(_check_noisy, res, n, noise, uniform_verified) if noise else None
         for n0, code_specs, words, ends in row:
             # 1. every instance's residue image, and its components' images
@@ -392,9 +396,7 @@ def sweep_mean_zero_coeff(
     codes = nondegenerate_codes(n0)
     for n in range(2, n0):
         code_specs = [(code, _distinct_specs(code, n)) for code in codes]
-        for f in gf2.divisors_xn1(n):
-            if not 1 <= f.bit_length() - 1 < n:
-                continue
+        for f in _proper_divisors(n):
             for code, specs in code_specs:
                 for spec in specs:
                     vals = mean_zero_coeff_prob_exact(code, spec, f, p_list)
@@ -461,20 +463,6 @@ def sweep_lemma2(n0_list=(7, 15)) -> SweepResult:
     return result
 
 
-def _tiles(v: int, n: int) -> bool:
-    # nonzero v is a repetition of a shorter pattern
-    for d in range(1, n):
-        if n % d:
-            continue
-        w = v & ((1 << d) - 1)
-        tiled = 0
-        for i in range(n // d):
-            tiled |= w << (i * d)
-        if tiled == v:
-            return True
-    return False
-
-
 def sweep_lemma3(n0_list=(7, 15)) -> SweepResult:
     """Degenerate-pattern codewords iff the dual generator has a small-order factor.
 
@@ -485,16 +473,10 @@ def sweep_lemma3(n0_list=(7, 15)) -> SweepResult:
     for n in n0_list:
         for g in gf2.divisors_xn1(n):
             code = CyclicCode(n, g)
-            if code.k == 0:
-                has_pattern = False
-            else:
-                has_pattern = any(
-                    _tiles(v, n) for v in code.codewords() if v
-                )
-            predicate = any(
-                d != 1 and gf2.order(d) < n
-                for d in gf2.divisors_of(code.g_dual, n)
-            ) if code.g_dual != 1 else False
+            has_pattern = any(
+                gf2.least_period(gf2.poly_to_bits(v, n)) < n for v in code.codewords() if v
+            )
+            predicate = any(d != 1 and gf2.order(d) < n for d in gf2.divisors_of(code.g_dual, n))
             result.checked += 1
             if has_pattern != predicate:
                 result.failures.append((n, g, has_pattern, predicate))
@@ -513,15 +495,13 @@ def sweep_sullivan(n_lo: int = 4, n_hi: int = 12, p_list=(0.05, 0.1)) -> SweepRe
     for n in range(n_lo, n_hi + 1):
         patterns = np.arange(1 << n, dtype=np.uint64)
         weights = np.bitwise_count(patterns).astype(np.float64)
-        for f in gf2.divisors_xn1(n):
+        for f in _proper_divisors(n):
             deg_f = f.bit_length() - 1
-            if not 1 <= deg_f < n:
-                continue
             syndromes = rem_many(patterns, f).astype(np.int64)
             for p in p_list:
                 mass = p**weights * (1 - p) ** (n - weights)
                 coset = np.bincount(syndromes, weights=mass, minlength=1 << deg_f)
-                dp = _error_dp_cached(n, f, p)[0]
+                dp = _error_dp_cached(n, f, p)
                 lam = lambda_coeff(n, deg_f, p)
                 result.checked += 1
                 if np.max(np.abs(coset - dp)) > 1e-12:
@@ -539,9 +519,7 @@ def sweep_syndrome_basis(n_lo: int = 4, n_hi: int = 16) -> SweepResult:
     """Syndrome coefficient vectors span exactly the dual code of C(n, f)."""
     result = SweepResult("syndrome_basis_span")
     for n in range(n_lo, n_hi + 1):
-        for f in gf2.divisors_xn1(n):
-            if not 1 <= f.bit_length() - 1 < n:
-                continue
+        for f in _proper_divisors(n):
             code = CyclicCode(n, f)
             hs = syndrome_basis(n, f)
             dual_rows = [code.g_dual << i for i in range(n - code.k)]
@@ -557,13 +535,11 @@ def sweep_pzero_identity(n_lo: int = 2, n_hi: int = 16, p_list=(0.01, 0.05, 0.1)
     """Weight-distribution sum equals the error-DP mass at residue zero."""
     result = SweepResult("pzero_identity")
     for n in range(n_lo, n_hi + 1):
-        for f in gf2.divisors_xn1(n):
-            if not 1 <= f.bit_length() - 1 < n:
-                continue
+        for f in _proper_divisors(n):
             code = CyclicCode(n, f)
             for p in p_list:
                 a = code.p_zero_syndrome(p)
-                b = float(_error_dp_cached(n, f, p)[0][0])
+                b = float(_error_dp_cached(n, f, p)[0])
                 result.checked += 1
                 if abs(a - b) > 1e-12:
                     result.failures.append((n, f, p, a, b))

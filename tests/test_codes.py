@@ -7,7 +7,6 @@ from cyclid.codes import (
     CyclicCode,
     GuardError,
     InvalidGeneratorError,
-    in_span,
     span_basis,
     syndrome_basis,
 )
@@ -38,9 +37,9 @@ def test_cyclic_code_rejects_nondivisor():
 
 
 def test_dual_generator():
-    assert example1_code().dual_generator() == gf2.mul(P("x^2+x+1"), P("x^4+x^3+1"))
+    assert example1_code().g_dual == gf2.mul(P("x^2+x+1"), P("x^4+x^3+1"))
     code = CyclicCode(7, P("x^3+x^2+1"))
-    assert code.dual_generator() == gf2.mul(P("x+1"), P("x^3+x^2+1"))
+    assert code.g_dual == gf2.mul(P("x+1"), P("x^3+x^2+1"))
     # applying the construction to the dual recovers the generator
     for g in gf2.divisors_xn1(15):
         code = CyclicCode(15, g)
@@ -53,6 +52,23 @@ def test_is_degenerate():
     assert not example1_code().is_degenerate()
     with pytest.raises(ValueError):
         CyclicCode(7, 1).is_degenerate()
+
+
+def test_is_degenerate_matches_divisor_loop():
+    # the definition: some X^l + 1, l a proper divisor of n, is a multiple of
+    # the dual generator (order(g_dual) divides n)
+    codes = 0
+    for n in range(2, 41):
+        for g in gf2.divisors_xn1(n):
+            code = CyclicCode(n, g)
+            if code.is_trivial:
+                continue
+            loop = any(
+                n % l == 0 and gf2.rem(gf2.xn1(l), code.g_dual) == 0 for l in range(1, n)
+            )
+            assert code.is_degenerate() == loop, code
+            codes += 1
+    assert codes == 1256
 
 
 def test_degenerate_matches_repeated_codeword_structure():
@@ -220,8 +236,6 @@ def test_syndrome_basis_matches_bit_loop():
 def test_span_helpers():
     basis = span_basis([0b110, 0b011, 0b101])
     assert len(basis) == 2
-    assert in_span(basis, 0b101)
-    assert not in_span(basis, 0b100)
     assert span_basis([0, 0]) == []
 
 

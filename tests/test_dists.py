@@ -23,12 +23,12 @@ from cyclid.dists import (
     exact_distribution,
     format_distribution,
     noisy_distribution,
-    noisy_zero_mass,
     predict_class,
     spec_for_block,
     theorem1_restricted_uniform_test,
 )
 from cyclid._kernels import subspace_elements
+from cyclid.recon import root_divisibility_prob_exact
 from cyclid.sweeps import _distinct_specs, nondegenerate_codes
 
 
@@ -418,22 +418,19 @@ def test_noisy_fig4b_support_equalities():
         assert noisy.kind is DistributionClass.IRREGULAR
 
 
-def test_noisy_zero_mass_matches_convolution():
-    spec = Truncation(example1_code(), 9)
-    f = P("x^6+x^3+1")
-    base = exact_distribution(spec, f)
-    for p in (0.01, 0.1):
-        err = error_residue_distribution(9, f, p)
-        direct = noisy_zero_mass(base, err)
-        full = noisy_distribution(spec, f, p).zero_mass
-        assert abs(direct - full) < 1e-12
-
-
-def test_noisy_zero_mass_refuses_different_moduli():
-    base = exact_distribution(Truncation(CyclicCode(7, P("x^3+x+1")), 5), P("x+1"))
-    err = error_residue_distribution(9, P("x^2+x+1"), 0.1)
-    with pytest.raises(ValueError, match="different f"):
-        noisy_zero_mass(base, err)
+def test_root_divisibility_matches_noisy_zero_mass():
+    # the mean of the error law over the image against the zero mass of the
+    # convolved law: every row of n0 = 7, rows 14 and 16 of n0 = 15
+    for n0, rows in ((7, range(2, 17)), (15, (14, 16))):
+        codes = nondegenerate_codes(n0)
+        for n in rows:
+            for f, _ in gf2.factor_xn1(n):
+                for code in codes:
+                    for spec in _distinct_specs(code, n):
+                        for p in (0.0, 0.01, 0.05, 0.3):
+                            got = root_divisibility_prob_exact(code, spec, f, p)
+                            want = noisy_distribution(spec, f, p).zero_mass
+                            assert abs(got - want) <= 1e-15, (spec, f, p)
 
 
 def test_format_distribution():

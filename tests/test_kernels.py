@@ -179,10 +179,18 @@ def test_xor_convolve_uniform_fixed_point():
 
 
 def test_xor_convolve_rows_match_single_vectors():
-    # one vector against a batch of rows, as the eq-23 masses use it
-    a = rng.random(64)
-    rows = rng.random((4, 64))
-    out = K.xor_convolve(a, rows)
-    assert out.shape == (4, 64)
-    for row, got in zip(rows, out):
-        assert np.array_equal(got, K.xor_convolve(a, row))
+    # one law against a batch of laws, as the eq-23 masses use it, at every
+    # eq-23 support size: a one-row product may take another BLAS kernel, so
+    # the last bits can differ, except at 64 points
+    for size in (1 << j for j in range(1, 9)):
+        a = rng.random(size)
+        a /= a.sum()
+        rows = rng.random((5, size))
+        rows /= rows.sum(axis=1, keepdims=True)
+        out = K.xor_convolve(a, rows)
+        assert out.shape == (5, size)
+        for row, got in zip(rows, out):
+            alone = K.xor_convolve(a, row)
+            assert np.max(np.abs(got - alone)) <= 1e-15
+            if size == 64:
+                assert np.array_equal(got, alone)

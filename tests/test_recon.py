@@ -235,6 +235,26 @@ def test_reconstruct_validation():
         reconstruct(bits, 3, 10, 0.0, method="magic")
 
 
+def test_bits_other_than_0_and_1_are_refused():
+    # '0'/'1' character codes, negative ints, a stray 3 and a 2-D array are
+    # not bit streams: packing them would corrupt the block words
+    cfg = StreamConfig(hamming7(), s0=0, p=0.01, blocks=100, seed=1)
+    bits = generate_stream(cfg)
+    assert reconstruct(bits.astype(bool), 3, 8, 0.01).winner == (7, 0, P("x^3+x+1"))
+    bad = [bits + ord("0"), bits.astype(np.int64) - 1, bits.reshape(100, 7)]
+    for method in ("zero-syndrome", "factor-entropy", "root-entropy"):
+        for b in bad:
+            with pytest.raises(ValueError, match="0/1"):
+                reconstruct(b, 3, 10, 0.01, method=method)
+    blocks = segment(bits, 7, 0).copy()
+    blocks[0, 0] = 3
+    for stat in (zero_syndrome_stat, empirical_stats):
+        with pytest.raises(ValueError, match="0/1"):
+            stat(blocks, P("x^3+x+1"))
+        with pytest.raises(ValueError, match="0/1"):
+            stat(bits, P("x^3+x+1"))
+
+
 def test_reconstruct_word_limit():
     rng = np.random.Generator(np.random.Philox(3))
     coin = rng.integers(0, 2, size=63 * 60, dtype=np.uint8)

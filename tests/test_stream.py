@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cyclid import gf2
-from cyclid.codes import CyclicCode
+from cyclid.codes import CyclicCode, GuardError
 from cyclid.stream import (
     StreamConfig,
     blocks_to_polys,
@@ -69,7 +69,7 @@ def test_blocks_to_polys_matches_poly_from_bits():
         assert polys.tolist() == [gf2.poly_from_bits(row) for row in blocks]
     empty = blocks_to_polys(np.empty((0, 7), dtype=np.uint8))
     assert empty.dtype == np.uint64 and empty.size == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(GuardError, match="64"):
         blocks_to_polys(np.zeros((2, 64), dtype=np.uint8))
 
 

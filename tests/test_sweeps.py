@@ -163,7 +163,7 @@ def test_batched_records_equal_per_image_ones(monkeypatch):
         assert all(r.ok for r in res.values())
         for f, records in seen:
             decided += len(records)
-            noise = {p: (_error_dp_cached(n, f, p)[0], None) for p in p_list}
+            noise = {p: (_error_dp_cached(n, f, p), None) for p in p_list}
             _assert_records_match(records, f, noise)
     assert decided > 1000
 
@@ -195,7 +195,7 @@ def test_rank_group_over_several_chunks():
             images.add(image)
     images = sorted(images)
     assert len(images) << 8 > sweeps._SPAN_CHUNK
-    noise = {p: (_error_dp_cached(n, f, p)[0], 1.0) for p in (0.01, 0.1)}
+    noise = {p: (_error_dp_cached(n, f, p), 1.0) for p in (0.01, 0.1)}
     res = {"noisy_uniform": sweeps.SweepResult("noisy_uniform")}
     check_noisy = partial(sweeps._check_noisy, res, n, noise, set())
     records = sweeps._decide_images(images, f, check_noisy)
