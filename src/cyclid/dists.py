@@ -25,10 +25,12 @@ residue modulo a candidate divisor f of X^n + 1:
 
 The verification sweeps cross-check the two routes exhaustively.
 
-Noise enters through one cached error law per (n, f, p), the residue of
-n iid BSC(p) bits modulo f.  The noisy block law is its XOR convolution
-with the noise-free law, uniform on an image H; the zero mass alone is
-the mean of the error law over H.
+Every law, noise-free or noisy, is one dense array of masses over all
+2^deg f residues (deg f <= 20).  Noise enters through one cached error
+law per (n, f, p), the residue of n iid BSC(p) bits modulo f.  The noisy
+block law is the XOR convolution of that array with the noise-free law's,
+which is uniform on an image H; the zero mass alone is the mean of the
+error law over H.
 """
 
 from __future__ import annotations
@@ -207,29 +209,28 @@ def build_subspace(spec: SubspaceSpec) -> list[int]:
 
 
 class SyndromeDistribution:
-    """Probability mass of residues modulo f, sparse over the support.
+    """Probability masses of the residues modulo f, one per residue.
 
-    Exact (noise-free) distributions carry integer counts over the
-    denominator 2^dim; their float masses are then exact as well, since
-    dyadic rationals with dim <= 24 round-trip through float64.
+    ``probs[r]`` is the mass of residue r, over all 2^deg f residues, the
+    dense form every producer builds under the deg f <= 20 cap.  Exact
+    (noise-free) laws also carry ``dim`` and integer ``counts`` over the
+    denominator 2^dim; their masses counts * 2^-dim are exact as well,
+    since dyadic rationals with dim <= 24 round-trip through float64.
     """
 
-    def __init__(self, f, residues, probs, counts=None, dim=None, dense=None):
+    def __init__(self, f, probs, counts=None, dim=None):
         self.f = f
         self.deg_f = f.bit_length() - 1
-        self.residues = np.asarray(residues, dtype=np.uint64)
         self.probs = np.asarray(probs, dtype=np.float64)
+        if self.probs.shape != (1 << self.deg_f,):
+            shape = self.probs.shape
+            raise ValueError(f"need 2^{self.deg_f} masses, one per residue, got {shape}")
         self.counts = None if counts is None else np.asarray(counts, dtype=np.int64)
         self.dim = dim
-        self._dense = dense
         self._kind = None
         total = self.probs.sum()
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"masses sum to {total}, not 1")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.counts is not None
 
     @property
     def kind(self) -> DistributionClass:
@@ -237,35 +238,23 @@ class SyndromeDistribution:
             self._kind = classify(self)
         return self._kind
 
-    def support_size(self) -> int:
-        return int(self.residues.size)
+    def support(self) -> np.ndarray:
+        """The residues of nonzero mass, in increasing order."""
+        return np.flatnonzero(self.probs)
 
     def mass_at(self, residue: int) -> float:
-        i = np.searchsorted(self.residues, np.uint64(residue))
-        if i < self.residues.size and self.residues[i] == np.uint64(residue):
-            return float(self.probs[i])
-        return 0.0
+        if not 0 <= residue < self.probs.size:
+            raise ValueError(f"{residue} is not a residue modulo a degree-{self.deg_f} f")
+        return float(self.probs[residue])
 
     @property
     def zero_mass(self) -> float:
-        return self.mass_at(0)
-
-    def dense_probs(self) -> np.ndarray:
-        """Masses over all 2^deg_f residues (guarded by the DP cap)."""
-        if self._dense is None:
-            if self.deg_f > DEGF_DP_GUARD:
-                raise GuardError(
-                    f"dense form needs deg f <= {DEGF_DP_GUARD}, got {self.deg_f}"
-                )
-            dense = np.zeros(1 << self.deg_f, dtype=np.float64)
-            dense[self.residues.astype(np.int64)] = self.probs
-            self._dense = dense
-        return self._dense
+        return float(self.probs[0])
 
     def __repr__(self):
         return (
             f"SyndromeDistribution(f={gf2.format_poly(self.f)}, "
-            f"support={self.support_size()}, kind={self.kind})"
+            f"support={self.support().size}, kind={self.kind})"
         )
 
 
@@ -283,12 +272,8 @@ def distribution_from_basis(basis, f: int) -> SyndromeDistribution:
     if deg_f > DEGF_DP_GUARD:
         raise GuardError(f"residue tallies need deg f <= {DEGF_DP_GUARD}, got {deg_f}")
     image = span_basis(rem_many(np.asarray(basis, dtype=np.uint64), f).tolist())
-    # nonzero scans a bool array several times faster than an int64 one
-    hit = residue_counts_dense(image, deg_f).astype(bool)
-    residues = np.flatnonzero(hit).astype(np.uint64)
-    counts = np.full(residues.size, 1 << (dim - len(image)), dtype=np.int64)
-    probs = np.full(residues.size, 1.0 / residues.size)
-    return SyndromeDistribution(f, residues, probs, counts=counts, dim=dim)
+    counts = residue_counts_dense(image, deg_f) << (dim - len(image))
+    return SyndromeDistribution(f, np.ldexp(counts, -dim), counts=counts, dim=dim)
 
 
 def exact_distribution(spec: SubspaceSpec, f: int) -> SyndromeDistribution:
@@ -333,14 +318,13 @@ def _support_classes(supports: np.ndarray, equal, deg_f: int) -> list:
 def classify(dist: SyndromeDistribution) -> DistributionClass:
     """Degenerate / Uniform / RestrictedUniform / Irregular from the masses.
 
-    The support-subgroup test is exact; mass equality is integer-exact
-    for exact distributions and uses a 1e-12 tolerance otherwise.
+    The support-subgroup test is exact; masses are equal within 1e-12,
+    which is exact equality for exact laws, whose unequal masses differ
+    by at least 2^-dim.
     """
-    if dist.is_exact:
-        equal = np.all(dist.counts == dist.counts[0])
-    else:
-        equal = np.ptp(dist.probs) <= _MASS_TOL
-    return _support_classes(dist.residues[None], np.array([equal]), dist.deg_f)[0]
+    support = dist.support()
+    equal = np.ptp(dist.probs[support]) <= _MASS_TOL
+    return _support_classes(support[None], np.array([equal]), dist.deg_f)[0]
 
 
 # --- theorem-based prediction --------------------------------------------------
@@ -502,12 +486,6 @@ def _error_dp_cached(n: int, f: int, p: float) -> np.ndarray:
     return probs
 
 
-def _law_from_dense(f: int, dense: np.ndarray) -> SyndromeDistribution:
-    """The law with masses `dense` over all residues, sparse over its support."""
-    support = np.flatnonzero(dense)
-    return SyndromeDistribution(f, support, dense[support], dense=dense)
-
-
 def error_residue_distribution(n: int, f: int, p: float) -> SyndromeDistribution:
     """Exact distribution of e(X) mod f for n iid BSC(p) bits.
 
@@ -518,7 +496,7 @@ def error_residue_distribution(n: int, f: int, p: float) -> SyndromeDistribution
     deg_f = f.bit_length() - 1
     if not 1 <= deg_f <= DEGF_DP_GUARD:
         raise GuardError(f"error DP needs 1 <= deg f <= {DEGF_DP_GUARD}, got {deg_f}")
-    return _law_from_dense(f, _error_dp_cached(n, f, p))
+    return SyndromeDistribution(f, _error_dp_cached(n, f, p))
 
 
 def noisy_distribution(spec: SubspaceSpec, f: int, p: float) -> SyndromeDistribution:
@@ -532,14 +510,14 @@ def noisy_distribution(spec: SubspaceSpec, f: int, p: float) -> SyndromeDistribu
     if p == 0.0:
         return base
     err = error_residue_distribution(spec.n, f, p)
-    return _law_from_dense(f, xor_convolve(base.dense_probs(), err.dense_probs()))
+    return SyndromeDistribution(f, xor_convolve(base.probs, err.probs))
 
 
 def format_distribution(dist: SyndromeDistribution) -> str:
     """Dump format: one '<residue-bits> <probability>' line per support residue."""
     lines = [
-        f"{''.join(map(str, gf2.poly_to_bits(int(r), dist.deg_f)))} {p:.12g}"
-        for r, p in zip(dist.residues, dist.probs)
+        f"{''.join(map(str, gf2.poly_to_bits(r, dist.deg_f)))} {dist.probs[r]:.12g}"
+        for r in dist.support().tolist()
     ]
     lines.append(f"class={dist.kind}")
     return "\n".join(lines)

@@ -111,15 +111,19 @@ def order(f: int, cap: int = 1 << 26) -> int:
     """Least l >= 1 such that f divides X^l + 1.
 
     Requires f(0) = 1 and deg(f) >= 1.  The order is the multiplicative
-    order of X modulo f, found by iteration; `cap` bounds the search as
+    order of X modulo f, found by iteration: each step shifts X^l mod f
+    and clears its degree-deg(f) bit with f.  `cap` bounds the search as
     a safety net (the true order never exceeds 2^deg(f) - 1).
     """
     if f & 1 == 0 or f.bit_length() <= 1:
         raise ValueError("order requires f(0) = 1 and deg(f) >= 1")
+    top = 1 << (f.bit_length() - 1)
     cur = rem(X, f)
     l = 1
     while cur != 1:
-        cur = rem(cur << 1, f)
+        cur <<= 1
+        if cur & top:
+            cur ^= f
         l += 1
         if l > cap:
             raise RuntimeError("order search exceeded cap")

@@ -166,8 +166,8 @@ def root_divisibility_prob_exact(
     if not gf2.is_irreducible(f_irred):
         raise ValueError("candidate must be irreducible")
     spec = spec_for_block(code, block_type)
-    image = exact_distribution(spec, f_irred).residues.astype(np.intp)
-    return float(error_residue_distribution(spec.n, f_irred, p).dense_probs()[image].mean())
+    image = exact_distribution(spec, f_irred).support()
+    return float(error_residue_distribution(spec.n, f_irred, p).probs[image].mean())
 
 
 def _mean_zero_check_frac(polys: np.ndarray, code: CyclicCode) -> float:

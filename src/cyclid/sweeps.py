@@ -342,13 +342,10 @@ def _check_noisy(res, n, noise, uniform_verified, f, images, span, kinds) -> lis
     uniform = [image for image, kind in zip(images, kinds) if kind is DistributionClass.UNIFORM]
     pending = [p for p in noise if (f, p) not in uniform_verified] if uniform else []
     if pending:
-        # only the dense masses live through the convolutions: a deg-16
-        # law's sparse arrays take another 1.5 MB at the sweep's peak
-        dense = distribution_from_basis(list(uniform[0]), f).dense_probs()
+        dense = distribution_from_basis(list(uniform[0]), f).probs
     for p in pending:
         uniform_verified.add((f, p))
-        probs = xor_convolve(dense, noise[p][0])
-        noisy = SyndromeDistribution(f, np.arange(probs.size, dtype=np.uint64), probs)
+        noisy = SyndromeDistribution(f, xor_convolve(dense, noise[p][0]))
         res["noisy_uniform"].checked += 1
         if noisy.kind is not DistributionClass.UNIFORM:
             res["noisy_uniform"].failures.append((n, f, p, str(noisy.kind)))

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +58,45 @@ def test_dist_fig4a(capsys):
     )
     support = [line for line in out.splitlines() if line.endswith("0.25")]
     assert len(support) == 4
+
+
+def test_dist_noisy_output_pinned(capsys):
+    # the README's noisy example, byte for byte
+    code, out, _ = run(
+        capsys,
+        "dist",
+        "--n0", "7", "--g0", "x3+x+1",
+        "--d1", "6", "--q", "0", "--d2", "1",
+        "--f", "x3+x+1", "--p", "0.05",
+    )
+    assert code == 0
+    assert out == (
+        "000 0.3710375\n"
+        "100 0.0429875\n"
+        "010 0.0429875\n"
+        "110 0.0429875\n"
+        "001 0.0429875\n"
+        "101 0.3710375\n"
+        "011 0.0429875\n"
+        "111 0.0429875\n"
+        "class=Irregular\n"
+        "predicted=RestrictedUniform classified=RestrictedUniform AGREE\n"
+    )
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every line of the README's CLI block, in order, so `gen` writes the
+    # stream `reconstruct` reads; the full verification is left to the
+    # acceptance tests
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cyclid ")]
+    assert len(lines) == 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        if line == "cyclid verify --suite all":
+            continue
+        assert run(capsys, *shlex.split(line)[1:])[0] == 0, line
 
 
 def test_dist_noisy_matches_noise_free_at_p0(capsys):

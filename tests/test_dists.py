@@ -114,24 +114,25 @@ def test_interior_offset_invariance():
     for offset in range(1, 10):
         rows = [(v >> offset) & 63 for v in code.codewords()]
         dist = distribution_from_basis(span_basis(rows), f)
-        assert np.array_equal(dist.residues, base.residues)
+        assert np.array_equal(dist.support(), base.support())
         assert np.array_equal(dist.counts, base.counts)
 
 
 def _tally_by_enumeration(basis, f):
     """Brute-force reference: the residues of all 2^dim span elements, tallied."""
-    tally = np.bincount(subspace_elements([gf2.rem(b, f) for b in basis]))
+    elements = subspace_elements([gf2.rem(b, f) for b in basis])
+    tally = np.bincount(elements, minlength=1 << (f.bit_length() - 1))
     residues = np.flatnonzero(tally)
     counts = tally[residues]
-    dist = SyndromeDistribution(f, residues, counts / float(1 << len(basis)), counts=counts)
+    dist = SyndromeDistribution(f, tally / float(1 << len(basis)), counts=tally)
     return residues, counts, dist.kind
 
 
 def _assert_matches_enumeration(basis, f):
     dist = distribution_from_basis(basis, f)
     residues, counts, kind = _tally_by_enumeration(basis, f)
-    assert dist.residues.tolist() == residues.tolist()
-    assert dist.counts.tolist() == counts.tolist()
+    assert dist.support().tolist() == residues.tolist()
+    assert dist.counts[dist.support()].tolist() == counts.tolist()
     assert dist.dim == len(basis)
     assert dist.kind is kind
 
@@ -162,9 +163,9 @@ def test_elimination_with_rank_below_dim():
     for basis in cases:
         _assert_matches_enumeration(basis, f)
     dist = distribution_from_basis([v, v, w], f)
-    assert dist.counts.tolist() == [2] * 4 and dist.zero_mass == 0.25
+    assert dist.counts[dist.support()].tolist() == [2] * 4 and dist.zero_mass == 0.25
     zero = distribution_from_basis(cases[2], f)
-    assert zero.residues.tolist() == [0] and zero.counts.tolist() == [8]
+    assert zero.support().tolist() == [0] and zero.counts[zero.support()].tolist() == [8]
     assert zero.kind is DistributionClass.DEGENERATE
 
 
@@ -180,15 +181,15 @@ def test_exact_distribution_restricted_example():
 
 def test_exact_distribution_fig4a():
     dist = exact_distribution(Truncation(fig4_code(), 10), P("x^4+x^3+x^2+x+1"))
-    assert dist.residues.tolist() == [0, 0b0100, 0b1001, 0b1101]
-    assert dist.probs.tolist() == [0.25, 0.25, 0.25, 0.25]
+    assert dist.support().tolist() == [0, 0b0100, 0b1001, 0b1101]
+    assert dist.probs[dist.support()].tolist() == [0.25, 0.25, 0.25, 0.25]
     assert dist.kind is DistributionClass.RESTRICTED_UNIFORM
 
 
 def test_exact_distribution_uniform_when_short():
     dist = exact_distribution(Truncation(example1_code(), 6), P("x^2+x+1"))
     assert dist.kind is DistributionClass.UNIFORM
-    assert dist.support_size() == 4
+    assert dist.support().size == 4
 
 
 def test_exact_distribution_validates_modulus():
@@ -206,7 +207,43 @@ def test_exact_distribution_validates_modulus():
 
 def test_masses_sum_validation():
     with pytest.raises(ValueError):
-        SyndromeDistribution(P("x^2+1"), [0, 1], [0.5, 0.4])
+        SyndromeDistribution(P("x^2+1"), [0.5, 0.4, 0.0, 0.0])
+
+
+def test_law_holds_one_mass_per_residue():
+    f = P("x^3+x+1")
+    for masses in ([1.0], [0.25] * 4, [0.0625] * 16, np.full((2, 4), 0.125)):
+        with pytest.raises(ValueError, match="one per residue"):
+            SyndromeDistribution(f, masses)
+    # masses set at residues given out of increasing order read back there
+    probs = np.zeros(8)
+    probs[[3, 0, 1, 2]] = [0.4, 0.2, 0.2, 0.2]
+    law = SyndromeDistribution(f, probs)
+    assert [law.mass_at(r) for r in (3, 0, 1, 2)] == [0.4, 0.2, 0.2, 0.2]
+    assert law.zero_mass == 0.2 and law.support().tolist() == [0, 1, 2, 3]
+    assert law.kind is DistributionClass.IRREGULAR
+    for outside in (-1, 8):
+        with pytest.raises(ValueError, match="not a residue"):
+            law.mass_at(outside)
+    # a repeated residue's masses add up: a point mass at 1
+    probs = np.zeros(8)
+    np.add.at(probs, [1, 1], [0.5, 0.5])
+    point = SyndromeDistribution(f, probs)
+    assert point.kind is DistributionClass.DEGENERATE and point.support().tolist() == [1]
+
+
+def test_exact_law_counts_are_dyadic_masses():
+    for spec, f in (
+        (Truncation(example1_code(), 9), P("x^6+x^3+1")),
+        (Truncation(fig4_code(), 10), P("x^4+x^3+x^2+x+1")),
+        (BoundarySpan(example1_code(), 3, 0, 4), P("x+1")),
+        (BoundarySpan(CyclicCode(7, P("x^3+x+1")), 2, 1, 5), P("x^3+x+1")),
+    ):
+        law = exact_distribution(spec, f)
+        assert law.counts.shape == law.probs.shape == (1 << (f.bit_length() - 1),)
+        assert int(law.counts.sum()) == 1 << law.dim
+        assert np.array_equal(law.probs, law.counts / float(1 << law.dim))
+        assert np.array_equal(law.support(), np.flatnonzero(law.counts))
 
 
 # --- classification ---------------------------------------------------------------
@@ -214,18 +251,16 @@ def test_masses_sum_validation():
 
 def test_classify_basic():
     f = P("x^3+x+1")
-    point = SyndromeDistribution(f, [0], [1.0], counts=[8], dim=3)
+    point = SyndromeDistribution(f, [1.0] + [0.0] * 7, counts=[8] + [0] * 7, dim=3)
     assert classify(point) is DistributionClass.DEGENERATE
-    uniform = SyndromeDistribution(
-        f, np.arange(8), np.full(8, 0.125), counts=[1] * 8, dim=3
-    )
+    uniform = SyndromeDistribution(f, np.full(8, 0.125), counts=[1] * 8, dim=3)
     assert classify(uniform) is DistributionClass.UNIFORM
-    irregular = SyndromeDistribution(f, [0, 1, 2], [0.5, 0.25, 0.25])
+    irregular = SyndromeDistribution(f, [0.5, 0.25, 0.25, 0, 0, 0, 0, 0])
     assert classify(irregular) is DistributionClass.IRREGULAR
     # equal masses on a non-subgroup support
-    crooked = SyndromeDistribution(f, [0, 1, 2, 4], [0.25] * 4)
+    crooked = SyndromeDistribution(f, [0.25, 0.25, 0.25, 0, 0.25, 0, 0, 0])
     assert classify(crooked) is DistributionClass.IRREGULAR
-    subgroup = SyndromeDistribution(f, [0, 1, 2, 3], [0.25] * 4)
+    subgroup = SyndromeDistribution(f, [0.25] * 4 + [0.0] * 4)
     assert classify(subgroup) is DistributionClass.RESTRICTED_UNIFORM
 
 
@@ -391,7 +426,7 @@ def test_noisy_distribution_p0_is_exact():
     f = P("x^4+x^3+x^2+x+1")
     a = noisy_distribution(spec, f, 0.0)
     b = exact_distribution(spec, f)
-    assert np.array_equal(a.residues, b.residues)
+    assert np.array_equal(a.support(), b.support())
     assert np.array_equal(a.probs, b.probs)
 
 
@@ -413,7 +448,7 @@ def test_noisy_fig4b_support_equalities():
     base = exact_distribution(spec, f)
     for p in (0.01, 0.05):
         noisy = noisy_distribution(spec, f, p)
-        masses = [noisy.mass_at(int(r)) for r in base.residues]
+        masses = [noisy.mass_at(int(r)) for r in base.support()]
         assert max(masses) - min(masses) <= 1e-12
         assert noisy.kind is DistributionClass.IRREGULAR
 

@@ -149,6 +149,23 @@ def test_order():
         gf2.order(1)
 
 
+def test_order_matches_rem_loop():
+    # the oracle steps X^l mod f with a full remainder
+    def order_by_rem(f):
+        cur, l = gf2.rem(2, f), 1
+        while cur != 1:
+            cur, l = gf2.rem(cur << 1, f), l + 1
+        return l
+
+    checked = 0
+    for n in range(1, 22):
+        for f in gf2.divisors_xn1(n):
+            if f > 1:
+                assert gf2.order(f) == order_by_rem(f), (n, f)
+                checked += 1
+    assert checked == 277
+
+
 def test_is_irreducible():
     assert gf2.is_irreducible(P("x^3+x+1"))
     assert not gf2.is_irreducible(P("x^2+1"))

@@ -121,12 +121,13 @@ def test_components_add_no_noisy_work(monkeypatch):
 def _per_image_record(image, f, noise):
     """(class, per-p (zero mass, eq-23 spread)) of one image, from its law."""
     dist = distribution_from_basis(list(image), f)
-    sup = dist.residues.astype(np.intp)
+    sup = dist.support()
+    masses = dist.probs[sup]
     eq23 = dist.kind is DistributionClass.RESTRICTED_UNIFORM and sup.size <= 256
     figures = [
         (
-            float(np.dot(dist.probs, dense[sup])),
-            float(np.ptp(dist.probs @ dense[np.bitwise_xor.outer(sup, sup)])) if eq23 else None,
+            float(np.dot(masses, dense[sup])),
+            float(np.ptp(masses @ dense[np.bitwise_xor.outer(sup, sup)])) if eq23 else None,
         )
         for dense, _ in noise.values()
     ]
