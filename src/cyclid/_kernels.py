@@ -3,8 +3,8 @@
 Every span enumeration goes through ``subspace_elements``, one span or a
 batch of equal-rank spans in one pass: the residue tally and the weight
 distribution are one ``bincount`` over its output, the orthogonal counts
-are one parity count per h over one enumeration, the sweep's batches of
-residue images are its sorted rows, and block residues are lookups in
+are one parity count per h over one enumeration, the noisy sweep's
+batches of residue images are its sorted rows, and block residues are lookups in
 spans of columns.  One routine, ``_xor_lookup``, builds those lookup
 tables and maps words to the XOR of their columns: ``rem_many`` applies
 it to the residues X^i mod f, 11 columns per table, and ``recon`` to the

@@ -129,10 +129,11 @@ def run_dist(args) -> int:
         spec = Truncation(code, args.trunc)
     else:
         spec = BoundarySpan(code, args.d1, args.q, args.d2)
+    # refuses a trivial or degenerate code before any output
+    predicted = predict_class(code, spec, args.f)
     # exact law at p = 0; any p outside [0, 1/2] is refused
     dist = noisy_distribution(spec, args.f, args.p)
     print(format_distribution(dist))
-    predicted = predict_class(code, spec, args.f)
     observed = classify(dist if args.p == 0.0 else exact_distribution(spec, args.f))
     verdict = "AGREE" if predicted is observed else "DISAGREE"
     print(f"predicted={predicted} classified={observed} {verdict}")

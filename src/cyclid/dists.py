@@ -14,7 +14,10 @@ residue modulo a candidate divisor f of X^n + 1:
   row-reduces the residues to a basis of their image subgroup H of rank
   r; the uniform measure on the subspace puts 2^(dim-r) of its 2^dim
   elements on each residue of H, so masses are exact dyadic rationals
-  (integer counts over a power-of-two denominator).
+  (integer counts over a power-of-two denominator).  A law uniform on H
+  has the class of its rank r (``_rank_class``): 0 is degenerate,
+  deg f is uniform, anything else restricted uniform.  ``classify``
+  reads the class of any law, noisy ones included, off its masses.
 * ``predict_class`` never enumerates: it applies the classification
   rules for truncations and boundary spans (information-set argument,
   counting argument, the small-order-factor test, uniformity
@@ -23,7 +26,9 @@ residue modulo a candidate divisor f of X^n + 1:
   one code's specs is classified in one call, which decides each rule
   once per length in a memo that ends with the call.
 
-The verification sweeps cross-check the two routes exhaustively.
+The verification sweeps check ``predict_class`` exhaustively against
+the rank of every block's residue image, which enumerates nothing; the
+tests also check it against ``classify`` on the enumerated laws.
 
 Every law, noise-free or noisy, is one dense array of masses over all
 2^deg f residues (deg f <= 20).  Noise enters through one cached error
@@ -282,49 +287,40 @@ def exact_distribution(spec: SubspaceSpec, f: int) -> SyndromeDistribution:
     return distribution_from_basis(build_subspace(spec), f)
 
 
-def _is_xor_subgroup(residues: np.ndarray):
-    """Exact subgroup test for sorted distinct residues, per row of the last axis.
+def _is_xor_subgroup(residues: np.ndarray) -> bool:
+    """Exact subgroup test for sorted distinct residues.
 
     In a sorted XOR-subgroup the elements at indices 2^j form the
     reduced basis and the doubling expansion over them reproduces the
     whole array in sorted order (element 0 included), so one vector
     comparison decides closure with no slack.
     """
-    size = residues.shape[-1]
+    size = residues.size
     if size & (size - 1):
         return False
-    basis = residues[..., [1 << j for j in range(size.bit_length() - 1)]]
-    return np.all(subspace_elements(basis) == residues, axis=-1)
-
-
-def _support_classes(supports: np.ndarray, equal, deg_f: int) -> list:
-    """The class of each row of sorted supports, shape (rows, size).
-
-    ``equal`` says per row whether its masses are all equal.  One point
-    is degenerate; unequal masses are irregular; all 2^deg f residues are
-    uniform; an XOR subgroup is restricted uniform; anything else is
-    irregular.
-    """
-    rows, size = supports.shape
-    if size == 1:
-        return [DistributionClass.DEGENERATE] * rows
-    full = DistributionClass.UNIFORM
-    if size != 1 << deg_f:
-        full = DistributionClass.RESTRICTED_UNIFORM
-        equal = equal & _is_xor_subgroup(supports)
-    return [full if ok else DistributionClass.IRREGULAR for ok in equal.tolist()]
+    basis = residues[[1 << j for j in range(size.bit_length() - 1)]]
+    return bool(np.array_equal(subspace_elements(basis), residues))
 
 
 def classify(dist: SyndromeDistribution) -> DistributionClass:
     """Degenerate / Uniform / RestrictedUniform / Irregular from the masses.
 
-    The support-subgroup test is exact; masses are equal within 1e-12,
-    which is exact equality for exact laws, whose unequal masses differ
-    by at least 2^-dim.
+    One point is degenerate; unequal masses are irregular; all 2^deg f
+    residues are uniform; an XOR subgroup is restricted uniform; anything
+    else is irregular.  The support-subgroup test is exact; masses are
+    equal within 1e-12, which is exact equality for exact laws, whose
+    unequal masses differ by at least 2^-dim.
     """
     support = dist.support()
-    equal = np.ptp(dist.probs[support]) <= _MASS_TOL
-    return _support_classes(support[None], np.array([equal]), dist.deg_f)[0]
+    if support.size == 1:
+        return DistributionClass.DEGENERATE
+    if np.ptp(dist.probs[support]) > _MASS_TOL:
+        return DistributionClass.IRREGULAR
+    if support.size == 1 << dist.deg_f:
+        return DistributionClass.UNIFORM
+    if _is_xor_subgroup(support):
+        return DistributionClass.RESTRICTED_UNIFORM
+    return DistributionClass.IRREGULAR
 
 
 # --- theorem-based prediction --------------------------------------------------
@@ -399,12 +395,12 @@ def _component_class(code: CyclicCode, d: int, f: int) -> DistributionClass:
         # the truncation rules, where f divides X^d + 1 in the third case
         return _truncation_class(code, d, f)
     # no closed-form rule: rank of the component's residue image
-    return _rank_class((gf2.rem(r, f) for r in _truncated_rows(code, d)), deg_f)
+    return _rank_class(len(span_basis(gf2.rem(r, f) for r in _truncated_rows(code, d))), deg_f)
 
 
-def _rank_class(residues, deg_f: int) -> DistributionClass:
-    # a uniform measure's residue image is the span of its basis residues
-    rank = len(span_basis(residues))
+def _rank_class(rank: int, deg_f: int) -> DistributionClass:
+    # a uniform measure on a subspace is uniform on its residue image, the
+    # span of its basis residues: the image's rank alone gives the class
     if rank == 0:
         return DistributionClass.DEGENERATE
     if rank == deg_f:
@@ -426,8 +422,11 @@ def predict_class(code: CyclicCode, specs: SubspaceSpec | BlockType | list, f: i
     restricted if its dimension min(d1, k) + q k + min(d2, k) is below
     deg f, else its class is the rank of its residue image, with the
     words of all such spans reduced in one call.  Divisor checks and
-    rules are decided once per length and call.
+    rules are decided once per length and call.  The rules hold for
+    nontrivial non-degenerate codes only; any other code is refused.
     """
+    if code.is_trivial or code.is_degenerate():
+        raise ValueError(f"predict_class needs a nontrivial non-degenerate code, got {code}")
     single = not isinstance(specs, (list, tuple))
     specs = [spec_for_block(code, spec) for spec in ([specs] if single else specs)]
     if any(spec.code != code for spec in specs):
@@ -443,7 +442,8 @@ def predict_class(code: CyclicCode, specs: SubspaceSpec | BlockType | list, f: i
         words = np.array([w for basis in bases for w in basis], dtype=np.uint64)
         residues = iter(rem_many(words, f).tolist())
         for i, basis in zip(pending, bases):
-            classes[i] = _rank_class(itertools.islice(residues, len(basis)), deg_f)
+            rank = len(span_basis(itertools.islice(residues, len(basis))))
+            classes[i] = _rank_class(rank, deg_f)
     return classes[0] if single else classes
 
 

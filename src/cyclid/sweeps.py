@@ -11,17 +11,18 @@ the assumed block length n so that the error-residue dynamic programs
 are computed once per (n, f, p) and shared across codes and
 subspaces, and every basis word of a (n, n0) row is reduced modulo f
 in one call.  A uniform measure on a subspace is uniform on its residue
-image, so its class, noisy zero mass and eq-23 spread depend on the
-image alone: a row keeps one record per distinct image per (n0, f), and
-every spec instance and boundary component looks its image up there.
-The images are decided in batches of equal rank, one span enumeration
-per batch, and the eq-23 masses are an XOR convolution over each span.
-A code's specs, one per frame offset, get their predicted classes from
-one ``predict_class`` call per f.  The checks themselves, and their
-counts, stay per instance.  Rows run serially: Python code between
-short numpy calls holds the GIL for most of a row, so a thread pool
-measured slower than a serial run.  The ``jobs`` keywords are accepted
-and ignored.
+image, so its class is that of the image's rank (``_rank_class``), read
+off the reduced image basis of every spec instance and boundary
+component with no enumeration.  Its noisy zero mass and eq-23 spread
+depend on the image alone too: a noisy row computes them once per
+distinct spec image per (n0, f), in batches of equal rank, one span
+enumeration per batch, and the eq-23 masses are an XOR convolution over
+each span.  A noise-free row enumerates no span.  A code's specs, one
+per frame offset, get their predicted classes from one ``predict_class``
+call per f.  The checks themselves, and their counts, stay per instance.
+Rows run serially: Python code between short numpy calls holds the GIL
+for most of a row, so a thread pool measured slower than a serial run.
+The ``jobs`` keywords are accepted and ignored.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .dists import (
     Truncation,
     _error_dp_cached,
     _rank_class,
-    _support_classes,
     block_decomposition,
     boundary_components,
     build_subspace,
@@ -136,20 +136,8 @@ def _spec_bases(code: CyclicCode, n: int, with_components: bool) -> list:
     return out
 
 
-def _span_classes(span: np.ndarray, deg_f: int) -> list:
-    """``classify``'s rules on each row of enumerated spans, shape (rows, 2^r).
-
-    Rows not already in increasing order are sorted in place.  Distinct
-    elements carry equal counts 2^(dim - r), so a row's masses are equal
-    exactly when its sorted elements are distinct.
-    """
-    if not np.all(span[:, 1:] > span[:, :-1]):
-        span.sort(axis=1)
-    return _support_classes(span, np.all(span[:, 1:] != span[:, :-1], axis=1), deg_f)
-
-
-def _decide_images(images: list, f: int, check_noisy=None) -> dict:
-    """image -> (class, per-p noisy figures or None), in batches of equal rank r.
+def _noisy_figures(images, check_noisy) -> dict:
+    """image -> per-p noisy figures, from spans enumerated in batches of equal rank r.
 
     A batch of at most ``_SPAN_CHUNK`` span elements (a rank-20 image goes
     alone) is enumerated in one pass from reduced bases in increasing pivot
@@ -164,10 +152,7 @@ def _decide_images(images: list, f: int, check_noisy=None) -> dict:
         for lo in range(0, len(group), step):
             batch = group[lo : lo + step]
             bases = np.array(batch, dtype=np.intp).reshape(len(batch), r)[:, ::-1]
-            span = subspace_elements(bases)
-            kinds = _span_classes(span, f.bit_length() - 1)
-            noisy = check_noisy(f, batch, span, kinds) if check_noisy else [None] * len(batch)
-            out.update(zip(batch, zip(kinds, noisy)))
+            out.update(zip(batch, check_noisy(batch, subspace_elements(bases))))
     return out
 
 
@@ -204,7 +189,8 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
         return res  # no error DP either
     # f outside n0: each error DP is built once per (n, f, p) and shared by the n0
     for f in _proper_divisors(n):
-        if f.bit_length() - 1 > DEGF_DP_GUARD:
+        deg_f = f.bit_length() - 1
+        if deg_f > DEGF_DP_GUARD:
             continue  # no dense residue arrays: its instances are skipped
         # p -> (error residue masses, Theorem-5 bound on the zero mass)
         noise = {}
@@ -212,7 +198,6 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
             f_code = CyclicCode(n, f)
             for p in p_list:
                 noise[p] = (_error_dp_cached(n, f, p), h1_upper_bound(f_code, p))
-        check_noisy = partial(_check_noisy, res, n, noise, uniform_verified) if noise else None
         for n0, code_specs, words, ends in row:
             # 1. every instance's residue image, and its components' images
             residues = iter(np.split(rem_many(words, f), ends))
@@ -222,25 +207,21 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
                 items = []
                 for spec, _, comps in spec_bases:
                     words_mod_f = next(residues).tolist()
-                    parts = comps and [tuple(span_basis(words_mod_f[c])) for c in comps]
+                    parts = comps and [span_basis(words_mod_f[c]) for c in comps]
                     items.append((spec, tuple(span_basis(words_mod_f)), parts))
                 instances.append((code, items))
-            # 2. each distinct image decided once, for this (n0, f) only;
-            # component images get a class and no noisy figures
-            spec_images = dict.fromkeys(im for _, items in instances for _, im, _ in items)
-            records = _decide_images(list(spec_images), f, check_noisy)
-            comp_only = dict.fromkeys(
-                im for _, items in instances for *_, parts in items for im in parts or ()
-                if im not in records
-            )
-            if comp_only:
-                records.update(_decide_images(list(comp_only), f))
+            # 2. noisy figures once per distinct spec image, for this (n0, f) only
+            figures = {}
+            if noise:
+                spec_images = dict.fromkeys(im for _, items in instances for _, im, _ in items)
+                check_noisy = partial(_check_noisy, res, n, noise, uniform_verified, f)
+                figures = _noisy_figures(spec_images, check_noisy)
             # 3. the checks, per instance in spec order
             for code, items in instances:
                 trunc_kind = None
                 preds = predict_class(code, [spec for spec, _, _ in items], f)
                 for (spec, image, parts), pred in zip(items, preds):
-                    kind, noisy = records[image]
+                    kind = _rank_class(len(image), deg_f)
                     res["cross_validation"].checked += 1
                     if kind is not pred:
                         res["cross_validation"].failures.append(
@@ -253,12 +234,8 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
                     )
                     correct = aligned and gf2.rem(code.g, f) == 0
                     res["proposition1"].checked += 1
-                    if kind is DistributionClass.IRREGULAR or (
-                        kind is DistributionClass.DEGENERATE and not correct
-                    ):
-                        res["proposition1"].failures.append(
-                            (n0, code.g, n, spec, f, str(kind))
-                        )
+                    if kind is DistributionClass.DEGENERATE and not correct:
+                        res["proposition1"].failures.append((n0, code.g, n, spec, f, str(kind)))
                     if kind is DistributionClass.DEGENERATE:
                         res["cross_validation"].notes["degenerate_instances"].append(
                             (n0, code.g, n, f)
@@ -271,8 +248,9 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
                         if kind is not DistributionClass.UNIFORM:
                             res["theorem2"].failures.append((n0, code.g, n, spec, f))
                     if parts is not None:
-                        _check_theorem3(res["theorem3"], code, spec, f, kind, parts, records)
-                    for (p, (_, bound)), (zero, spread) in zip(noise.items(), noisy or ()):
+                        _check_theorem3(res["theorem3"], code, spec, f, kind, parts)
+                    noisy = zip(noise.items(), figures.get(image, ()))
+                    for (p, (_, bound)), (zero, spread) in noisy:
                         if not correct:
                             res["theorem5_bound"].checked += 1
                             if zero > bound + 1e-12:
@@ -285,8 +263,8 @@ def _sweep_n_row(n: int, n0_list, p_list, with_noise: bool, with_components: boo
     return res
 
 
-def _check_theorem3(result, code, spec, f, kind, parts, records):
-    """Component classes (each separately enumerated) against the composite.
+def _check_theorem3(result, code, spec, f, kind, parts):
+    """Component classes (each from its own residue image) against the composite.
 
     ``parts`` are the residue images of the span's components.  The
     provable direction is that all-uniform components (after dropping
@@ -297,9 +275,9 @@ def _check_theorem3(result, code, spec, f, kind, parts, records):
     combined supports; violations of the literal converse are counted
     as a note.
     """
-    classes = [records[image][0] for image in parts]
-    live = [c for c in classes if c is not DistributionClass.DEGENERATE]
-    expect = _rank_class([g for image in parts for g in image], f.bit_length() - 1)
+    deg_f = f.bit_length() - 1
+    live = [_rank_class(len(image), deg_f) for image in parts if image]
+    expect = _rank_class(len(span_basis(g for image in parts for g in image)), deg_f)
     result.checked += 1
     if kind is not expect:
         result.failures.append((code.g, spec, f, f"expected={expect}", str(kind)))
@@ -315,34 +293,33 @@ def _check_theorem3(result, code, spec, f, kind, parts, records):
         )
 
 
-def _check_noisy(res, n, noise, uniform_verified, f, images, span, kinds) -> list:
+def _check_noisy(res, n, noise, uniform_verified, f, images, span) -> list:
     """Per image and p, the noisy zero mass and the eq-23 spread (None unless
     restricted with at most 256 points) of a batch of noise-free laws.
 
     Row E of ``span`` is a support in increasing order, mass 1/2^r a point.
+    Every row has rank r, so the batch is degenerate, restricted or uniform
+    as one.
     A restricted row is an XOR subgroup whose entry c is combination c of its
     entries at indices 2^j, so E[i] ^ E[j] = E[i ^ j] and its noisy masses are
     the XOR convolution of the uniform masses with the error masses at E.  A
     uniform law must stay uniform: once per (n, f, p), as all are equal.
     """
     size = span.shape[1]
-    restricted = [kind is DistributionClass.RESTRICTED_UNIFORM for kind in kinds]
-    eq23 = np.array(restricted) & (size <= _EQ23_SUPPORT_CAP)
+    full = 1 << (f.bit_length() - 1)
     out = [[] for _ in images]
     for dense, _ in noise.values():
         g = dense[span]  # one law at a time: never a stack of them
-        spreads = np.zeros(len(images))
-        if eq23.any():
-            probs = np.full(size, 1.0 / size)
-            spreads[eq23] = np.ptp(xor_convolve(probs, g[eq23]), axis=1)
+        spreads = [None] * len(images)
+        if 1 < size < full and size <= _EQ23_SUPPORT_CAP:
+            spreads = np.ptp(xor_convolve(np.full(size, 1.0 / size), g), axis=1).tolist()
         zeros = (g.sum(axis=1) / size).tolist()
-        for row, zero, spread, e in zip(out, zeros, spreads.tolist(), eq23):
-            row.append((zero, spread if e else None))
+        for row, zero, spread in zip(out, zeros, spreads):
+            row.append((zero, spread))
     del g
-    uniform = [image for image, kind in zip(images, kinds) if kind is DistributionClass.UNIFORM]
-    pending = [p for p in noise if (f, p) not in uniform_verified] if uniform else []
+    pending = [p for p in noise if (f, p) not in uniform_verified] if size == full else []
     if pending:
-        dense = distribution_from_basis(list(uniform[0]), f).probs
+        dense = distribution_from_basis(list(images[0]), f).probs
     for p in pending:
         uniform_verified.add((f, p))
         noisy = SyndromeDistribution(f, xor_convolve(dense, noise[p][0]))
@@ -437,10 +414,8 @@ def sweep_lemma2(n0_list=(7, 15)) -> SweepResult:
             if code.is_trivial:
                 continue
             rows = [code.g << i for i in range(code.k)]
-            outside = np.array(
-                [h for h in range(1 << n) if gf2.rem(h, code.g_dual) != 0],
-                dtype=np.uint64,
-            )
+            words = np.arange(1 << n, dtype=np.uint64)
+            outside = words[rem_many(words, code.g_dual) != 0]
             for d1 in range(1, n):
                 d2 = n - d1
                 pre_basis = span_basis(r & ((1 << d1) - 1) for r in rows)

@@ -120,6 +120,14 @@ def test_dist_refuses_p_outside_range(capsys):
         assert "[0, 1/2]" in err and out == ""
 
 
+def test_dist_refuses_a_degenerate_code(capsys):
+    # the repetition code is refused before its law is printed
+    args = ["dist", "--n0", "7", "--g0", "x6+x5+x4+x3+x2+x+1", "--trunc", "2", "--f", "x+1"]
+    code, out, err = run(capsys, *args)
+    assert code == 1 and out == ""
+    assert "non-degenerate code, got CyclicCode(n=7, g=x^6+x^5+x^4+x^3+x^2+x+1)" in err
+
+
 def test_gen_and_reconstruct_roundtrip(tmp_path, capsys):
     stream = tmp_path / "s.txt"
     code, out, _ = run(

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +319,18 @@ def test_predict_class_refuses_a_spec_of_another_code():
         predict_class(code, spec, f)
     with pytest.raises(ValueError):
         predict_class(code, [Truncation(code, 6), spec], f)
+
+
+def test_predict_class_refuses_trivial_and_degenerate_codes():
+    # the rules assume a nontrivial non-degenerate code: they would call the
+    # repetition code's 2-bit truncation restricted, yet its law mod x+1 is
+    # a point mass
+    repetition = CyclicCode(7, P("x^6+x^5+x^4+x^3+x^2+x+1"))
+    law = exact_distribution(Truncation(repetition, 2), P("x+1"))
+    assert law.kind is DistributionClass.DEGENERATE
+    for code in (repetition, CyclicCode(7, gf2.xn1(7)), CyclicCode(7, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"non-degenerate code, got {code}")):
+            predict_class(code, Truncation(code, 2), P("x+1"))
 
 
 def test_predict_class_list_equals_per_spec_calls():

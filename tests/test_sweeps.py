@@ -5,7 +5,7 @@ import pytest
 
 from cyclid import dists, gf2, sweeps
 from cyclid.codes import span_basis
-from cyclid.dists import DistributionClass, _error_dp_cached, distribution_from_basis
+from cyclid.dists import DistributionClass, _error_dp_cached, _rank_class, distribution_from_basis
 from cyclid.recon import mean_zero_coeff_prob_exact
 from cyclid.sweeps import (
     _sweep_n_row,
@@ -67,14 +67,29 @@ def test_noisy_checks_n0_7(n0_7_sweeps):
         assert n0_7_sweeps[name].checked == checked
 
 
+def test_noise_free_sweep_enumerates_no_span(monkeypatch):
+    # every noise-free class is the rank of a reduced image basis: the n0 = 7
+    # totals above come out with span enumeration switched off
+    def refuse(*_):
+        raise AssertionError("a noise-free sweep enumerated a span")
+
+    monkeypatch.setattr(sweeps, "subspace_elements", refuse)
+    res = run_distribution_sweeps(n0_list=(7,), with_noise=False)
+    totals = {"cross_validation": 4665, "proposition1": 4665, "theorem2": 219, "theorem3": 4590}
+    assert {name: res[name].checked for name in totals} == totals
+    assert all(r.ok for r in res.values())
+    assert len(res["cross_validation"].notes["degenerate_instances"]) == 18
+    assert res["theorem3"].notes["literal_converse_violations"] == 2238
+
+
 @pytest.fixture(scope="module")
 def rows_16_17():
     # the benchmark's sweep rows, counting the residue images they decide
     decided = []
-    decide = sweeps._decide_images
+    figures = sweeps._noisy_figures
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
-            sweeps, "_decide_images", lambda images, *a: decided.append(len(images)) or decide(images, *a)
+            sweeps, "_noisy_figures", lambda images, *a: decided.append(len(images)) or figures(images, *a)
         )
         res = run_distribution_sweeps(
             n0_list=(7, 15), p_list=(0.01, 0.05, 0.1), with_components=False, n_range=(16, 17)
@@ -135,9 +150,10 @@ def _per_image_record(image, f, noise):
 
 
 def _assert_records_match(records, f, noise):
-    for image, (kind, figures) in records.items():
+    # the rank's class and the batched noisy figures against each image's own law
+    for image, figures in records.items():
         want_kind, want = _per_image_record(image, f, noise)
-        assert kind is want_kind, (image, f)
+        assert _rank_class(len(image), f.bit_length() - 1) is want_kind, (image, f)
         for (zero, spread), (want_zero, want_spread) in zip(figures, want):
             assert abs(zero - want_zero) <= 1e-12
             assert (spread is None) is (want_spread is None)
@@ -146,16 +162,19 @@ def _assert_records_match(records, f, noise):
 
 
 def test_batched_records_equal_per_image_ones(monkeypatch):
-    # every distinct image of n0 = 7 on rows 2..16, with noise: the batched
-    # class, zero mass and eq-23 spread against each image's own law
-    decide = sweeps._decide_images
-    seen = []  # (f, records) of the spec images of one row
+    # every distinct image of n0 = 7 on rows 2..16, with noise: the rank's
+    # class and the batched zero mass and eq-23 spread against each image's
+    # own law
+    check_noisy = sweeps._check_noisy
+    seen = []  # (f, records) of each batch of spec images of one row
 
-    def spy(images, f, *args):
-        seen.append((f, decide(images, f, *args)))
-        return seen[-1][1]
+    def spy(*args):
+        f, images = args[4:6]
+        figures = check_noisy(*args)
+        seen.append((f, dict(zip(images, figures))))
+        return figures
 
-    monkeypatch.setattr(sweeps, "_decide_images", spy)
+    monkeypatch.setattr(sweeps, "_check_noisy", spy)
     p_list = (0.01, 0.05, 0.1)
     decided = 0
     for n in range(2, 17):
@@ -167,21 +186,6 @@ def test_batched_records_equal_per_image_ones(monkeypatch):
             noise = {p: (_error_dp_cached(n, f, p), None) for p in p_list}
             _assert_records_match(records, f, noise)
     assert decided > 1000
-
-
-def test_span_classes_sort_rows_and_flag_repeats():
-    # rows from an unreduced basis come out of order and are sorted in place;
-    # a repeated element (a dependent basis) or a non-subgroup is irregular
-    span = np.array([[0, 3, 1, 2], [0, 1, 1, 0], [0, 1, 2, 4]])
-    kinds = sweeps._span_classes(span, 3)
-    assert kinds == [
-        DistributionClass.RESTRICTED_UNIFORM,
-        DistributionClass.IRREGULAR,
-        DistributionClass.IRREGULAR,
-    ]
-    assert span.tolist() == [[0, 1, 2, 3], [0, 0, 1, 1], [0, 1, 2, 4]]
-    assert sweeps._span_classes(np.array([[0, 3, 1, 2]]), 2) == [DistributionClass.UNIFORM]
-    assert sweeps._span_classes(np.zeros((2, 1)), 2) == [DistributionClass.DEGENERATE] * 2
 
 
 def test_rank_group_over_several_chunks():
@@ -198,10 +202,11 @@ def test_rank_group_over_several_chunks():
     assert len(images) << 8 > sweeps._SPAN_CHUNK
     noise = {p: (_error_dp_cached(n, f, p), 1.0) for p in (0.01, 0.1)}
     res = {"noisy_uniform": sweeps.SweepResult("noisy_uniform")}
-    check_noisy = partial(sweeps._check_noisy, res, n, noise, set())
-    records = sweeps._decide_images(images, f, check_noisy)
+    check_noisy = partial(sweeps._check_noisy, res, n, noise, set(), f)
+    records = sweeps._noisy_figures(images, check_noisy)
     assert list(records) == images
-    assert {kind for kind, _ in records.values()} == {DistributionClass.RESTRICTED_UNIFORM}
+    # every batch is restricted: each image gets its eq-23 spreads
+    assert all(spread is not None for figures in records.values() for _, spread in figures)
     _assert_records_match(records, f, noise)
 
 
